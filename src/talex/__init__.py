@@ -26,6 +26,7 @@ from .knots import (
     bundled_table,
     fox_derivative,
     load_knot_table,
+    simplify_presentation,
     wirtinger_from_pd,
 )
 from .theorems import TheoremCase, make_case, rhs, verify_congruence
@@ -63,6 +64,7 @@ __all__ = [
     "reduce_mod",
     "regular_representation",
     "rhs",
+    "simplify_presentation",
     "substitute_scale",
     "twisted_alexander_mod",
     "verify_congruence",

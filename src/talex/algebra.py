@@ -10,7 +10,7 @@ that make "equal up to unit" a structural comparison.
 Determinants of matrices of Laurent polynomials use fraction-free Bareiss
 elimination.  To keep large eliminations fast, polynomials are packed into
 big integers (Kronecker substitution at t = 2^B), so the elimination inner
-loop runs on GMP limbs rather than Python lists:
+loop runs on CPython's arbitrary-precision ints rather than Python lists:
 
 * over the integers, intermediate entries are minors of the input matrix,
   so a fixed slot width derived from row 1-norms is provably large enough
@@ -27,12 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    def mpz(x):
-        return x
 
 
 class DomainMismatchError(ValueError):
@@ -294,22 +288,6 @@ def to_text(f: LaurentPolynomial) -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
-
-
-def add(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a + b
-
-
-def sub(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a - b
-
-
-def mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a * b
-
-
-def neg(a: LaurentPolynomial) -> LaurentPolynomial:
-    return -a
 
 
 def substitute_scale(f: LaurentPolynomial, c: int) -> LaurentPolynomial:
@@ -654,9 +632,9 @@ def _det_packed_integer(rows: list[list[list[int]]], n: int) -> list[int]:
         s = sum(sum(abs(c) for c in e) for e in row)
         bound_bits += max(s, 2).bit_length()
     width = 2 * bound_bits + 4
-    a = [[mpz(_pack(e, width)) for e in row] for row in rows]
+    a = [[_pack(e, width) for e in row] for row in rows]
     sign = 1
-    prev = mpz(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -678,7 +656,7 @@ def _det_packed_integer(rows: list[list[list[int]]], n: int) -> list[int]:
                     row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = piv
-    det = int(sign * a[n - 1][n - 1])
+    det = sign * a[n - 1][n - 1]
     return _unpack_balanced(det, width)
 
 
@@ -687,9 +665,8 @@ class _PackedFp:
 
     WIDTH = 32
 
-    def __init__(self, p: int, max_len: int):
+    def __init__(self, p: int):
         self.p = p
-        self.max_len = max_len
         self._offsets: dict[int, int] = {0: 0}
 
     def offset(self, nslots: int) -> int:
@@ -757,11 +734,10 @@ class _PackedFp:
 def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
     """Fraction-free Bareiss natively over F_p[t] on packed polynomials."""
     max_deg = max((len(e) - 1 for row in rows for e in row if e), default=0)
-    helper = _PackedFp(p, n * max(max_deg, 1) + 2)
+    helper = _PackedFp(p)
     width = helper.WIDTH
     a = [[helper.normalize(_pack(e, width)) for e in row] for row in rows]
     sign = 1
-    prev = 1
     prev_deg = 0
     inv_rev_prev = 1
     for k in range(n - 1):
@@ -789,10 +765,9 @@ def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
                 else:
                     row_i[j] = dive(normalize(x), prev_deg, inv_rev_prev)
             row_i[k] = 0
-        prev = piv
         prev_deg = helper.degree(piv)
         if k < n - 2:
-            rev_prev = helper.reverse(prev, prev_deg)
+            rev_prev = helper.reverse(piv, prev_deg)
             inv_rev_prev = helper.newton_inverse(
                 rev_prev, n * max(max_deg, 1) + 2)
     det = a[n - 1][n - 1]

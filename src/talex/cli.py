@@ -40,6 +40,7 @@ from .groups import (
 from .homsearch import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    conjugacy_representatives,
     find_meridional_surjections,
 )
 from .knots import KnotTableError, bundled_table_path, load_knot_table
@@ -299,8 +300,6 @@ def cmd_surjections(args) -> int:
         try:
             all_surj = find_meridional_surjections(
                 pres, group, up_to_conjugacy=False, budget=args.budget)
-            reps = find_meridional_surjections(
-                pres, group, up_to_conjugacy=True, budget=args.budget)
         except BudgetExceededError as exc:
             worst = max(worst, EXIT_BUDGET)
             results.append({"knot": name, "group": group.name,
@@ -309,6 +308,7 @@ def cmd_surjections(args) -> int:
             continue
         if not all_surj:
             worst = max(worst, EXIT_NO_SURJECTION)
+        reps = conjugacy_representatives(all_surj)
         results.append({
             "knot": name, "group": group.name, "count": len(all_surj),
             "count_up_to_conjugacy": len(reps),

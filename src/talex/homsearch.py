@@ -117,16 +117,22 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
         assign(0)
 
     found.sort()
-    if up_to_conjugacy:
-        reps = []
-        seen = set()
-        for images in found:
-            canon = _canonical_under_conjugation(group, images)
-            if canon not in seen:
-                seen.add(canon)
-                reps.append(images)
-        found = reps
-    return [Homomorphism(group, images) for images in found]
+    homs = [Homomorphism(group, images) for images in found]
+    return conjugacy_representatives(homs) if up_to_conjugacy else homs
+
+
+def conjugacy_representatives(homs: list[Homomorphism]
+                              ) -> list[Homomorphism]:
+    """The first homomorphism of each simultaneous-conjugation orbit, in
+    input order."""
+    reps = []
+    seen = set()
+    for h in homs:
+        canon = _canonical_under_conjugation(h.group, h.images)
+        if canon not in seen:
+            seen.add(canon)
+            reps.append(h)
+    return reps
 
 
 def brute_force_surjections(pres: KnotPresentation, group: FiniteGroup

@@ -18,11 +18,20 @@ x_j and over arc x_k is x_k^e x_i x_k^-e x_j^-1, where e = +1 when the
 over-strand enters at position d and -1 when it enters at position b.
 Any globally consistent sign convention yields the same invariants up to
 units (at worst it mirrors the knot), so tests compare up to unit.
+
+Knot tables return Tietze-simplified presentations (simplify_presentation):
+generators that a relator determines are eliminated until none is left,
+which takes each bundled knot down to its bridge number of generators.
+The generators that remain are a subset of the original Wirtinger arcs, so
+the result is still meridional, balanced and of deficiency one, and Wada's
+invariant is unchanged up to units (Wada, Topology 1994).  The unsimplified
+presentation stays available through wirtinger_from_pd.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import INTEGERS, LaurentPolynomial, PolyMatrix, determinant
@@ -208,6 +217,73 @@ def wirtinger_from_pd(pd: PDCode) -> KnotPresentation:
     return KnotPresentation(generators=n, relators=tuple(relators[:-1]))
 
 
+def _cyclic_reduce(word) -> FreeWord:
+    """Free reduction followed by cancelling inverse letters at the two
+    ends; yields a conjugate of the word, which is an equivalent relator."""
+    word = free_reduce(word)
+    i, j = 0, len(word)
+    while j - i >= 2 and word[i] == -word[j - 1]:
+        i += 1
+        j -= 1
+    return word[i:j]
+
+
+def _substitute(word, j: int, image: FreeWord) -> FreeWord:
+    inverse = invert_word(image)
+    out: list[int] = []
+    for letter in word:
+        if letter == j:
+            out.extend(image)
+        elif letter == -j:
+            out.extend(inverse)
+        else:
+            out.append(letter)
+    return _cyclic_reduce(out)
+
+
+def simplify_presentation(pres: KnotPresentation) -> KnotPresentation:
+    """Greedy Tietze elimination of generators.
+
+    While some relator contains a generator exactly once, solve such a
+    relator r for such a generator x_j, substitute the solution into the
+    other relators and cyclically reduce them.  Of all (r, x_j) pairs the
+    one chosen least lengthens the other relators - (occurrences of x_j
+    elsewhere) * (len(r) - 2) - with ties going to the shorter relator,
+    then the earlier relator, then the lower generator index.  Each step
+    removes one generator and one relator, so the deficiency is kept; the
+    surviving generators are renumbered 1..m' in their original order.
+    Deterministic, and a fixpoint on its output.
+    """
+    relators = [_cyclic_reduce(r) for r in pres.relators]
+    alive = list(range(1, pres.generators + 1))
+    while True:
+        counts = [Counter(abs(letter) for letter in r) for r in relators]
+        total = sum(counts, Counter())
+        candidates = [((total[g] - 1) * (len(r) - 2), len(r), idx, g)
+                      for idx, (r, cnt) in enumerate(zip(relators, counts))
+                      for g, c in cnt.items() if c == 1]
+        if not candidates:
+            break
+        *_, idx, j = min(candidates)
+        r = relators.pop(idx)
+        pos = next(k for k, letter in enumerate(r) if abs(letter) == j)
+        u, v = r[:pos], r[pos + 1:]
+        # u x_j v = 1 gives x_j = u^-1 v^-1; u x_j^-1 v = 1 gives x_j = v u
+        if r[pos] > 0:
+            image = free_reduce(invert_word(u) + invert_word(v))
+        else:
+            image = free_reduce(v + u)
+        relators = [_substitute(w, j, image) for w in relators]
+        alive.remove(j)
+    renumber = {g: k for k, g in enumerate(alive, 1)}
+    return KnotPresentation(
+        generators=len(alive),
+        relators=tuple(tuple(renumber[letter] if letter > 0
+                             else -renumber[-letter] for letter in r)
+                       for r in relators),
+        meridional=pres.meridional)
+
+
 def presentation_abelianized_at_1(pres: KnotPresentation) -> int:
     """det of the Fox Jacobian minor with t = 1 and the last generator
     dropped; equals the Alexander polynomial at 1, so +-1 for a knot."""
@@ -228,12 +304,16 @@ class KnotTableError(ValueError):
 
 
 def load_knot_table(source) -> dict[str, KnotPresentation]:
-    """Parse a knot table file into named, validated presentations.
+    """Parse a knot table file into named, validated, Tietze-simplified
+    presentations.
 
     The file is JSON: {"knots": [entry, ...]} where each entry is either
     {"name": ..., "pd": [[a,b,c,d], ...]} or a direct presentation
     {"name": ..., "generators": m, "relators": [[letters], ...]}.  Every
-    entry must pass the Alexander-polynomial-at-1 check.
+    entry must pass the Alexander-polynomial-at-1 check as written; the
+    table then holds simplify_presentation of it, whose generators are a
+    subset of the entry's original generators (for PD entries, of its
+    Wirtinger arcs), renumbered 1..m'.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -274,7 +354,7 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
             if isinstance(exc, KnotTableError):
                 raise
             raise KnotTableError(f"entry {name or pos}: {exc}") from exc
-        table[name] = pres
+        table[name] = simplify_presentation(pres)
     return table
 
 

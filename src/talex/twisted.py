@@ -287,11 +287,6 @@ def twisted_alexander_mod(pres: KnotPresentation, f: Homomorphism,
         ) from exc
 
 
-def trivial_surjection() -> Homomorphism:
-    g = trivial_group()
-    return Homomorphism(g, ())
-
-
 def alexander_polynomial(pres: KnotPresentation) -> LaurentPolynomial:
     """The classical Alexander polynomial: (t - 1) times the invariant of
     the one-dimensional trivial representation, normalized to min_exp 0

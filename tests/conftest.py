@@ -1,7 +1,16 @@
+import json
+
 import pytest
 
 from talex.algebra import INTEGERS, LaurentPolynomial
-from talex.knots import bundled_table
+from talex.knots import PDCode, bundled_table, bundled_table_path
+
+
+def bundled_pd_codes() -> dict[str, PDCode]:
+    """The PD entries of the bundled table, before any simplification."""
+    with open(bundled_table_path(), encoding="utf-8") as fh:
+        entries = json.load(fh)["knots"]
+    return {e["name"]: PDCode.parse(e["pd"]) for e in entries if "pd" in e}
 
 
 @pytest.fixture(scope="session")

@@ -222,6 +222,25 @@ class TestSurjections:
         code, report, _ = run_json(capsys, "surjections", "--group", "D3")
         assert code == 0 and report["results"] == []
 
+    def test_one_search_per_knot(self, capsys, monkeypatch):
+        import talex.cli
+
+        calls = []
+        search = talex.cli.find_meridional_surjections
+
+        def counting(pres, group, **kwargs):
+            calls.append(pres)
+            return search(pres, group, **kwargs)
+
+        monkeypatch.setattr(talex.cli, "find_meridional_surjections",
+                            counting)
+        code, report, _ = run_json(capsys, "surjections", "--knot", "3_1",
+                                   "--knot", "6_1", "--group", "D3")
+        assert code == 0
+        assert len(calls) == 2
+        assert [(r["count"], r["count_up_to_conjugacy"])
+                for r in report["results"]] == [(6, 1), (6, 1)]
+
 
 class TestGroupsList:
     def test_lists_catalog(self, capsys):

@@ -285,6 +285,16 @@ class TestValidation:
         with pytest.raises(GroupValidationError, match="associativity"):
             FiniteGroup(table)
 
+    def test_rejects_non_associative_loop_above_order_64(self):
+        # Z_66 with the intercalate in rows 1, 34 and columns 1, 34
+        # swapped: still a Latin square with identity 0, no longer a group
+        n = 66
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        table[1][1], table[1][34] = table[1][34], table[1][1]
+        table[34][1], table[34][34] = table[34][34], table[34][1]
+        with pytest.raises(GroupValidationError, match="associativity"):
+            FiniteGroup(table)
+
     def test_cayley_json_roundtrip(self):
         g = dihedral(3)
         h = group_from_cayley_json(json.loads(json.dumps(g.to_json())))
