@@ -229,8 +229,9 @@ class LaurentPolynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def evaluate(self, x: int) -> int:

@@ -20,10 +20,9 @@ import json
 import os
 import re
 import sys
-import time
 
 from . import __version__
-from .algebra import INTEGERS, equal_up_to_unit, prime_field, to_text
+from .algebra import INTEGERS, prime_field, to_text
 from .groups import (
     FiniteGroup,
     GroupValidationError,
@@ -48,7 +47,6 @@ from .theorems import (
     CASE_NAMES,
     catalog_under_24,
     make_case,
-    rhs,
     verify_congruence,
 )
 from .twisted import alexander_polynomial, twisted_alexander_mod, wada_invariant

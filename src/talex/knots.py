@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import INTEGERS, LaurentPolynomial, PolyMatrix, determinant
+from .algebra import LaurentPolynomial, PolyMatrix, determinant
 
 FreeWord = tuple[int, ...]
 GroupRingElement = dict[FreeWord, int]

@@ -1,11 +1,49 @@
-"""Right-hand sides of the congruence formulas, the congruence checker,
-and the binomial/conjugating-matrix identities used in their proofs.
+"""The congruence engine, the congruence checker, and the binomial and
+conjugating-matrix identities used in the paper's proofs.
 
-Each supported case pairs a finite group with a closed-form expression in
-the classical Alexander polynomial.  Complex roots of unity never appear:
-whole Galois-orbit products are evaluated through the resultant-based
-``product_over_roots_of_unity``, and integer scalars act through
-``substitute_scale`` in the prime field, so everything stays exact.
+Every supported case is one reduction.  Let f: pi_1(K) -> G be onto, G' the
+commutator subgroup, k = |G : G'|, and p a prime such that G' is a p-group
+(any p, or none, when G' = 1).  Then
+
+    Delta_{reg G o f}  =  (prod_{j=1..k} Delta_K(a^j t) / (a^j t - 1))^|G'|
+
+up to units in F_p(t) (in Q(t) when G' = 1), with a = e^(2 pi i / k).
+The right side is the paper's cyclic theorem for G/G' raised to |G'|.
+
+Sketch of the proof:
+
+* f followed by G -> G/G' lands in an abelian group, so it factors
+  through H_1(K) = ZZ.  Hence G/G' is cyclic and the meridian maps to a
+  generator, and the composite is the regular representation of C_k on
+  the abelianization, whose Wada invariant is the paper's cyclic theorem:
+  the orbit quotient above.
+* Over F_p, the regular module F_p[G] and the inflation of
+  F_p[G/G']^{|G'|} have equal Brauer characters.  On a p-regular g both
+  are |G| at g = 1 and 0 elsewhere, because the inflation's value
+  |G'| |G/G'| at g in G' only arises at g = 1, the one p-regular element
+  of the p-group G'.  So the two modules have the same composition
+  factors, and each is block upper triangular over those factors.
+* Wada's invariant is multiplicative over block-triangular
+  representations and invariant up to units, and every diagonal factor's
+  denominator is nonzero (Wada, Topology 33 (1994)).  When G' = 1 the
+  two modules coincide and no reduction is needed.
+
+The cases that ``make_case`` builds, with (k, |G'|) and the modulus:
+
+    cyclic C_n                  (n, 1)      none, or any prime
+    dihedral D_q, q = p^n       (2, q)      p
+    D_q x C_m, m odd            (2m, q)     p
+    metacyclic G(m, p | k)      (m, p)      p
+    dicyclic Dic_q              (4, q)      p
+    A4                          (3, 4)      2
+    D3 x| C3                    (2, 9)      3
+    conjecture D_p x| C_p       (2, p^2)    p
+
+``rhs`` checks both conditions on the group it is given rather than
+assuming them.  ``verify_congruence`` still computes the left side on G
+itself.  Complex roots of unity never appear: the orbit product is the
+resultant-based ``product_over_roots_of_unity`` over ZZ, reduced mod p
+afterwards, so everything stays exact.
 """
 
 from __future__ import annotations
@@ -20,11 +58,8 @@ from .algebra import (
     RationalFunction,
     _is_prime,
     equal_up_to_unit,
-    prime_field,
     product_over_roots_of_unity,
     rational_normalize,
-    reduce_mod,
-    substitute_scale,
 )
 from .groups import (
     FiniteGroup,
@@ -46,8 +81,20 @@ from .homsearch import (
 from .knots import KnotPresentation
 from .twisted import alexander_polynomial, twisted_alexander_mod, wada_invariant
 
-CASE_NAMES = ("cyclic", "dihedral", "dihedral_times_cyclic", "metacyclic",
-              "dicyclic", "a4", "d3c3", "conjecture")
+# case name -> group from the case's parameters; the constructors are looked
+# up when called, so rebinding a module-level name reaches every case
+_CASE_GROUPS = {
+    "cyclic": lambda n: cyclic(n),
+    "dihedral": lambda p, n: dihedral(p ** n),
+    "dihedral_times_cyclic":
+        lambda p, n, m: direct_product(dihedral(p ** n), cyclic(m)),
+    "metacyclic": lambda m, p, k: metacyclic(m, p, k),
+    "dicyclic": lambda p, n: dicyclic(p ** n),
+    "a4": lambda: alternating4(),
+    "d3c3": lambda: d3_semidirect_c3(),
+    "conjecture": lambda p: dp_semidirect_cp(p),
+}
+CASE_NAMES = tuple(_CASE_GROUPS)
 
 
 @dataclass(frozen=True)
@@ -102,6 +149,11 @@ def make_case(name: str, *, n: int | None = None, p: int | None = None,
         n = 1 if n is None else n
         if n < 1 or m is None or m < 1:
             raise ValueError("dihedral x cyclic case needs n >= 1 and m >= 1")
+        if m % 2 == 0:
+            raise ValueError(
+                f"dihedral x cyclic case needs m odd, got {m}: D_q x C_m "
+                "then has the non-cyclic abelianization C2 x C_m, so no knot "
+                "group surjects onto it")
         return TheoremCase("dihedral_times_cyclic", (p, n, m), modulus or p)
     if name == "metacyclic":
         _odd_prime(p, "metacyclic case")
@@ -126,40 +178,7 @@ def make_case(name: str, *, n: int | None = None, p: int | None = None,
 
 
 def group_for_case(case: TheoremCase) -> FiniteGroup:
-    if case.name == "cyclic":
-        return cyclic(case.parameters[0])
-    if case.name == "dihedral":
-        p, n = case.parameters
-        return dihedral(p ** n)
-    if case.name == "dihedral_times_cyclic":
-        p, n, m = case.parameters
-        return direct_product(dihedral(p ** n), cyclic(m))
-    if case.name == "metacyclic":
-        m, p, k = case.parameters
-        return metacyclic(m, p, k)
-    if case.name == "dicyclic":
-        p, n = case.parameters
-        return dicyclic(p ** n)
-    if case.name == "a4":
-        return alternating4()
-    if case.name == "d3c3":
-        return d3_semidirect_c3()
-    if case.name == "conjecture":
-        return dp_semidirect_cp(case.parameters[0])
-    raise AssertionError(case.name)
-
-
-def mth_roots_of_unity_mod_p(m: int, p: int) -> list[int]:
-    """All k in 1..p-1 with k^m = 1 mod p, ascending; requires m | p-1."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if (p - 1) % m != 0:
-        raise ValueError(f"m = {m} does not divide p - 1 = {p - 1}")
-    return [k for k in range(1, p) if pow(k, m, p) == 1]
-
-
-def _t_minus_1(domain=INTEGERS) -> LaurentPolynomial:
-    return LaurentPolynomial.make(domain, 0, (-1, 1))
+    return _CASE_GROUPS[case.name](*case.parameters)
 
 
 def _check_is_alexander(delta: LaurentPolynomial):
@@ -174,89 +193,44 @@ def _cyclic_orbit_quotient(delta: LaurentPolynomial, n: int
     """prod_{j=1..n} Delta(a^j t) / (a^j t - 1) as an exact rational
     function; the denominator orbit product is +-(t^n - 1)."""
     num = product_over_roots_of_unity(delta, n)
-    den = product_over_roots_of_unity(_t_minus_1(), n)
+    den = LaurentPolynomial.make(INTEGERS, 0, [-1] + [0] * (n - 1) + [1])
     return RationalFunction(num, den)
 
 
-def rhs(case: TheoremCase, delta: LaurentPolynomial,
-        form: str = "regrouped") -> RationalFunction:
-    """The formula's right-hand side, normalized, reduced to the case's
-    modulus when it has one.
+def _order_modulo(group: FiniteGroup, normal: frozenset[int], g: int) -> int:
+    """The order of the coset g N in G/N."""
+    j, x = 1, g
+    while x not in normal:
+        x = group.mul(x, g)
+        j += 1
+    return j
 
-    ``form`` only matters for the metacyclic case, whose theorem display
-    and worked-example regrouping are algebraically equal; both are
-    implemented and their agreement is a test.
+
+def rhs(group: FiniteGroup, modulus: int | None,
+        delta: LaurentPolynomial) -> RationalFunction:
+    """The congruence's right-hand side for the regular representation of
+    ``group``: with k = |G : G'|, the cyclic orbit quotient of order k
+    raised to |G'|, reduced mod ``modulus`` when given, normalized.
+
+    Raises ValueError unless G/G' is cyclic and G' is a p-group for
+    p = ``modulus`` (a trivial G' needs no modulus); the module docstring
+    proves the formula under exactly these conditions.
     """
     _check_is_alexander(delta)
-    name = case.name
-    if name == "cyclic":
-        out = _cyclic_orbit_quotient(delta, case.parameters[0])
-        if case.modulus is not None:
-            out = out.reduce_mod(case.modulus)
-        return rational_normalize(out)
-
-    p = case.modulus
-    assert p is not None
-    field = prime_field(p)
-    dp = reduce_mod(delta, p)
-    tm1 = _t_minus_1(field)
-    tp1 = LaurentPolynomial.make(field, 0, (1, 1))
-
-    if name in ("dihedral", "d3c3", "conjecture"):
-        if name == "dihedral":
-            q = case.parameters[0] ** case.parameters[1]
-        elif name == "d3c3":
-            q = 9
-        else:
-            q = case.parameters[0] ** 2
-        half = RationalFunction(dp * substitute_scale(dp, -1), tm1 * tp1)
-        return rational_normalize(half ** q)
-
-    if name == "dihedral_times_cyclic":
-        pp, n, m = case.parameters
-        q = pp ** n
-        orbit = _cyclic_orbit_quotient(delta, m)
-        neg = RationalFunction(substitute_scale(orbit.numerator, -1),
-                               substitute_scale(orbit.denominator, -1))
-        both = (orbit * neg).reduce_mod(p)
-        return rational_normalize(both ** q)
-
-    if name == "dicyclic":
-        pp, n = case.parameters
-        q = pp ** n
-        quarter = _cyclic_orbit_quotient(delta, 4).reduce_mod(p)
-        return rational_normalize(quarter ** q)
-
-    if name == "a4":
-        third = _cyclic_orbit_quotient(delta, 3).reduce_mod(2)
-        return rational_normalize(third ** 4)
-
-    if name == "metacyclic":
-        m, pp, k = case.parameters
-        roots = mth_roots_of_unity_mod_p(m, pp)
-        orbit = _cyclic_orbit_quotient(delta, m).reduce_mod(p)
-
-        def scaled(kj: int) -> RationalFunction:
-            return RationalFunction(substitute_scale(dp, kj),
-                                    substitute_scale(tm1, kj))
-
-        if form == "theorem":
-            acc = orbit
-            for kj in roots:
-                acc = acc * scaled(kj) ** (pp - 1)
-            return rational_normalize(acc)
-        if form == "regrouped":
-            # Delta(t)/(t-1) to the power p, the nontrivial k_j to p-1,
-            # and the orbit with its trivial root divided back out
-            acc = scaled(1) ** pp
-            for kj in roots:
-                if kj != 1:
-                    acc = acc * scaled(kj) ** (pp - 1)
-            acc = acc * orbit / scaled(1)
-            return rational_normalize(acc)
-        raise ValueError(f"unknown metacyclic form {form!r}")
-
-    raise AssertionError(name)
+    derived = group.commutator_subgroup()
+    size = len(derived)
+    k = group.order // size
+    if all(_order_modulo(group, derived, g) != k for g in group.elements()):
+        raise ValueError(f"{group.name}/{group.name}' is not cyclic")
+    # size divides modulus**size exactly when size is a power of the prime
+    if size > 1 and (modulus is None or pow(modulus, size, size)):
+        raise ValueError(
+            f"the commutator subgroup of {group.name} has order {size}, "
+            f"which is not a power of the modulus {modulus}")
+    out = _cyclic_orbit_quotient(delta, k)
+    if modulus is not None:
+        out = out.reduce_mod(modulus)
+    return rational_normalize(out ** size)
 
 
 @dataclass(frozen=True)
@@ -311,7 +285,7 @@ def verify_congruence(pres: KnotPresentation, knot_name: str,
     surjections = find_meridional_surjections(
         pres, group, up_to_conjugacy=True, budget=budget)
     delta = alexander_polynomial(pres)
-    rhs_value = rhs(case, delta)
+    rhs_value = rhs(group, case.modulus, delta)
     lhs_values = []
     verdicts = []
     for f in surjections:

@@ -147,6 +147,12 @@ class TestVerify:
                            "4", "--knot", "3_1")
         assert code == 3 and "odd prime" in err
 
+    def test_dihedral_times_even_cyclic_rejected(self, capsys):
+        code, _, err = run(capsys, "verify", "--case",
+                           "dihedral_times_cyclic", "--p", "3", "--m", "2",
+                           "--knot", "3_1")
+        assert code == 3 and "m odd" in err
+
     def test_missing_case(self, capsys):
         code, _, err = run(capsys, "verify", "--knot", "3_1")
         assert code == 3 and "needs --case" in err

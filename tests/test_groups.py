@@ -19,6 +19,7 @@ from talex.groups import (
     regular_representation,
     trivial_representation,
 )
+from talex.theorems import catalog_under_24
 
 
 def isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
@@ -295,6 +296,17 @@ class TestValidation:
         with pytest.raises(GroupValidationError, match="associativity"):
             FiniteGroup(table)
 
+    def test_light_test_skips_identity(self):
+        # a two-sided identity associates trivially, so it is never tested
+        groups = [g for _, g, _ in catalog_under_24()]
+        groups += [dihedral(25), dihedral(27), dp_semidirect_cp(5)]
+        for g in groups:
+            gens = g._greedy_generators()
+            assert g.identity not in gens, g.name
+            assert g.subgroup_generated(gens) == set(g.elements()), g.name
+        assert dihedral(25)._greedy_generators() == [1, 25]
+        assert dp_semidirect_cp(5)._greedy_generators() == [1, 5, 25]
+
     def test_cayley_json_roundtrip(self):
         g = dihedral(3)
         h = group_from_cayley_json(json.loads(json.dumps(g.to_json())))
@@ -356,6 +368,17 @@ class TestRepresentations:
                 LaurentPolynomial.one().domain, 0, [-1] + [0] * (k - 1) + [1])
             expected = cyc ** (g.order // k)
             assert det in (expected, -expected)
+
+    def test_validate_checks_large_dense_rep(self):
+        # n^2 d^3 = 4 * 101^3 is over 4e6, and the check still runs in full
+        from talex.groups import MatrixRep
+        d = 101
+        ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        neg = [[-int(i == j) for j in range(d)] for i in range(d)]
+        neg[0][1] = 1  # -I squares to I; this entry breaks the square
+        bad = MatrixRep(cyclic(2), d, (ident, tuple(map(tuple, neg))))
+        with pytest.raises(GroupValidationError, match="homomorphism"):
+            bad.validate()
 
     def test_validate_rejects_broken_rep(self):
         g = cyclic(2)

@@ -2,15 +2,19 @@ import pytest
 
 from conftest import poly
 from talex.algebra import (
+    INTEGERS,
+    LaurentPolynomial,
     RationalFunction,
     equal_up_to_unit,
     prime_field,
+    product_over_roots_of_unity,
     rational_normalize,
     reduce_mod,
+    substitute_scale,
 )
+from talex.groups import alternating4, cyclic, dihedral, direct_product
 from talex.theorems import (
     TheoremCase,
-    VerdictRecord,
     a_matrix,
     binomial,
     catalog_under_24,
@@ -24,7 +28,6 @@ from talex.theorems import (
     check_vandermonde,
     group_for_case,
     make_case,
-    mth_roots_of_unity_mod_p,
     rhs,
     tau_a,
     tau_b,
@@ -68,6 +71,106 @@ TAU_B_32 = [
 ]
 
 
+# -- the paper's closed forms, one per group family, as test oracles -------
+
+
+def _roots_of_unity_mod_p(m: int, p: int) -> list[int]:
+    """All k in 1..p-1 with k^m = 1 mod p, ascending; requires m | p-1."""
+    if (p - 1) % m != 0:
+        raise ValueError(f"m = {m} does not divide p - 1 = {p - 1}")
+    return [k for k in range(1, p) if pow(k, m, p) == 1]
+
+
+def _orbit(delta, n):
+    """The cyclic theorem's display prod_{j=1..n} Delta(a^j t)/(a^j t - 1)
+    over ZZ, a = e^(2 pi i / n)."""
+    return RationalFunction(product_over_roots_of_unity(delta, n),
+                            poly([-1] + [0] * (n - 1) + [1]))
+
+
+def _scaled(dp, c):
+    """Delta(c t) / (c t - 1) over the prime field of dp."""
+    return RationalFunction(substitute_scale(dp, c),
+                            poly([-1, c], domain=dp.domain))
+
+
+def _half(delta, p):
+    """Delta(t) Delta(-t) / ((t - 1)(t + 1)) mod p."""
+    dp = reduce_mod(delta, p)
+    return _scaled(dp, 1) * _scaled(dp, -1)
+
+
+def _quarter(delta, p):
+    """Delta(t) Delta(-t) Delta(it) Delta(-it) / (t^4 - 1) mod p, without
+    roots of unity: Delta(t) Delta(-t) = E(t^2) is even, and the other
+    pair is E(-t^2)."""
+    even = delta * substitute_scale(delta, -1)
+    other = LaurentPolynomial.from_coeff_map(INTEGERS, {
+        e: c * (-1) ** (e // 2 % 2)
+        for e, c in enumerate(even.coeffs, start=even.min_exp)})
+    return RationalFunction(even * other,
+                            poly([-1, 0, 0, 0, 1])).reduce_mod(p)
+
+
+def _metacyclic_theorem(delta, m, p):
+    """The metacyclic theorem's display: the order-m orbit product times
+    (Delta(k_j t) / (k_j t - 1))^(p-1) over the m-th roots k_j in F_p."""
+    dp = reduce_mod(delta, p)
+    out = _orbit(delta, m).reduce_mod(p)
+    for kj in _roots_of_unity_mod_p(m, p):
+        out = out * _scaled(dp, kj) ** (p - 1)
+    return out
+
+
+def _metacyclic_regrouped(delta, m, p):
+    """The worked example's regrouping of the same display: (Delta(t) /
+    (t - 1))^p, the nontrivial k_j to p - 1, and the orbit product with
+    its trivial root divided back out."""
+    dp = reduce_mod(delta, p)
+    out = _scaled(dp, 1) ** p
+    for kj in _roots_of_unity_mod_p(m, p)[1:]:
+        out = out * _scaled(dp, kj) ** (p - 1)
+    return out * _orbit(delta, m).reduce_mod(p) / _scaled(dp, 1)
+
+
+def paper_display(case: TheoremCase, delta) -> RationalFunction:
+    """The paper's right-hand side for the case, family by family."""
+    name, params, p = case.name, case.parameters, case.modulus
+    if name == "cyclic":
+        out = _orbit(delta, params[0])
+        return out if p is None else out.reduce_mod(p)
+    if name == "dihedral":
+        return _half(delta, p) ** (params[0] ** params[1])
+    if name in ("d3c3", "conjecture"):
+        return _half(delta, p) ** (p * p)
+    if name == "dihedral_times_cyclic":
+        q, m = params[0] ** params[1], params[2]
+        orbit = _orbit(delta, m)
+        return (orbit * orbit.substitute_scale(-1)).reduce_mod(p) ** q
+    if name == "dicyclic":
+        return _quarter(delta, p) ** (params[0] ** params[1])
+    if name == "a4":
+        return _orbit(delta, 3).reduce_mod(2) ** 4
+    if name == "metacyclic":
+        return _metacyclic_theorem(delta, params[0], params[1])
+    raise AssertionError(name)
+
+
+ORACLE_CASES = (
+    [make_case("cyclic", n=n) for n in range(1, 20)]
+    + [make_case("cyclic", n=n, modulus=5) for n in range(1, 20)]
+    + [make_case("dihedral", p=p, n=n)
+       for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (7, 1), (11, 1))]
+    + [make_case("dihedral_times_cyclic", p=p, m=m)
+       for p in (3, 5) for m in (1, 3, 5)]
+    + [make_case("metacyclic", m=m, p=p, k=k)
+       for m, p, k in ((3, 7, 2), (4, 5, 2), (2, 5, 4), (3, 13, 3))]
+    + [make_case("dicyclic", p=p, n=n)
+       for p, n in ((3, 1), (5, 1), (3, 2), (7, 1))]
+    + [make_case("a4"), make_case("d3c3")]
+    + [make_case("conjecture", p=p) for p in (3, 5, 7)])
+
+
 class TestCases:
     def test_case_str_and_validation(self):
         case = make_case("dihedral", p=3, n=2)
@@ -88,33 +191,52 @@ class TestCases:
         assert group_for_case(
             make_case("dihedral_times_cyclic", p=3, n=1, m=3)).order == 18
 
+    def test_dihedral_times_even_cyclic_rejected(self):
+        # D_3 x C_2 abelianizes to C2 x C2, so no knot group maps onto it
+        with pytest.raises(ValueError, match="m odd"):
+            make_case("dihedral_times_cyclic", p=3, m=2)
+
 
 class TestRootsOfUnityModP:
     def test_cube_roots_mod_seven(self):
-        assert mth_roots_of_unity_mod_p(3, 7) == [1, 2, 4]
+        assert _roots_of_unity_mod_p(3, 7) == [1, 2, 4]
 
     def test_square_roots_mod_five(self):
-        assert mth_roots_of_unity_mod_p(2, 5) == [1, 4]
+        assert _roots_of_unity_mod_p(2, 5) == [1, 4]
 
     def test_trivial(self):
-        assert mth_roots_of_unity_mod_p(1, 7) == [1]
+        assert _roots_of_unity_mod_p(1, 7) == [1]
 
     def test_requires_divisibility(self):
         with pytest.raises(ValueError, match="divide"):
-            mth_roots_of_unity_mod_p(3, 5)
+            _roots_of_unity_mod_p(3, 5)
+
+
+def _rhs(case, delta):
+    return rhs(group_for_case(case), case.modulus, delta)
 
 
 class TestRhs:
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=str)
+    def test_engine_matches_paper_display(self, table, case):
+        group = group_for_case(case)
+        for name in sorted(table):
+            delta = alexander_polynomial(table[name])
+            expected = rational_normalize(paper_display(case, delta))
+            got = rhs(group, case.modulus, delta)
+            assert got.to_json() == expected.to_json(), name
+            assert str(got) == str(expected), name
+
     def test_cyclic_order_one(self):
         delta = poly([1, -1, 1])
-        out = rhs(make_case("cyclic", n=1), delta)
+        out = _rhs(make_case("cyclic", n=1), delta)
         assert equal_up_to_unit(
             out, RationalFunction(delta, poly([-1, 1])))
 
     def test_dihedral_worked_example(self):
         # ((t+1)^2 (t-1)^2 / ((t+1)(t-1)))^9 in normal form mod 3
         delta = poly([1, -1, 1])
-        out = rhs(make_case("dihedral", p=3, n=2), delta)
+        out = _rhs(make_case("dihedral", p=3, n=2), delta)
         F3 = prime_field(3)
         inner = RationalFunction(
             (poly([1, 1], domain=F3) * poly([-1, 1], domain=F3)) ** 2,
@@ -125,9 +247,11 @@ class TestRhs:
         for name in ("3_1", "6_1", "8_18"):
             delta = alexander_polynomial(table[name])
             for m, p, k in ((3, 7, 2), (4, 5, 2), (2, 5, 4)):
-                case = make_case("metacyclic", m=m, p=p, k=k)
-                assert equal_up_to_unit(rhs(case, delta, "theorem"),
-                                        rhs(case, delta, "regrouped")), \
+                engine = _rhs(make_case("metacyclic", m=m, p=p, k=k), delta)
+                assert equal_up_to_unit(_metacyclic_theorem(delta, m, p),
+                                        _metacyclic_regrouped(delta, m, p))
+                assert equal_up_to_unit(engine,
+                                        _metacyclic_regrouped(delta, m, p)), \
                     (name, m, p, k)
 
     def test_metacyclic_uses_integer_root_scalings(self, table):
@@ -137,41 +261,57 @@ class TestRhs:
         case = make_case("metacyclic", m=3, p=7, k=2)
         F7 = prime_field(7)
         dp = reduce_mod(delta, 7)
-        from talex.algebra import substitute_scale
         tm1 = poly([-1, 1], domain=F7)
         manual = RationalFunction.of(poly([1], domain=F7))
         for kj in (1, 2, 4):
             manual = manual * RationalFunction(
                 substitute_scale(dp, kj), substitute_scale(tm1, kj)) ** 6
-        from talex.algebra import product_over_roots_of_unity
         orbit = RationalFunction(
             reduce_mod(product_over_roots_of_unity(delta, 3), 7),
             reduce_mod(product_over_roots_of_unity(poly([-1, 1]), 3), 7))
         manual = manual * orbit
-        assert equal_up_to_unit(rhs(case, delta, "theorem"), manual)
+        assert equal_up_to_unit(_rhs(case, delta), manual)
 
     def test_dicyclic_is_integral_before_reduction(self):
-        from talex.algebra import INTEGERS, product_over_roots_of_unity
         delta = poly([1, -1, 1])
         quarter_num = product_over_roots_of_unity(delta, 4)
         assert quarter_num.domain == INTEGERS
-        out = rhs(make_case("dicyclic", p=3), delta)
+        out = _rhs(make_case("dicyclic", p=3), delta)
         assert not out.numerator.is_zero
 
     def test_d3c3_and_conjecture_match_at_three(self, table):
         delta = alexander_polynomial(table["8_18"])
-        a = rhs(make_case("d3c3"), delta)
-        b = rhs(make_case("conjecture", p=3), delta)
+        a = _rhs(make_case("d3c3"), delta)
+        b = _rhs(make_case("conjecture", p=3), delta)
         assert equal_up_to_unit(a, b)
 
     def test_rejects_non_alexander_input(self):
         with pytest.raises(ValueError, match="Delta"):
-            rhs(make_case("a4"), poly([2, 1]))  # Delta(1) = 3
+            _rhs(make_case("a4"), poly([2, 1]))  # Delta(1) = 3
 
     def test_cyclic_with_modulus(self):
         delta = poly([1, -3, 1])
-        out = rhs(make_case("cyclic", n=2, modulus=5), delta)
+        out = _rhs(make_case("cyclic", n=2, modulus=5), delta)
         assert out.domain.p == 5
+
+    def test_rejects_non_cyclic_abelianization(self):
+        group = direct_product(dihedral(3), cyclic(2))
+        with pytest.raises(ValueError, match="not cyclic"):
+            rhs(group, 3, poly([1, -1, 1]))
+
+    def test_rejects_commutator_subgroup_not_a_p_group(self):
+        # A4' = V4 is a 2-group: it passes mod 2 only
+        delta = poly([1, -1, 1])
+        with pytest.raises(ValueError, match="power of the modulus"):
+            rhs(alternating4(), 3, delta)
+        with pytest.raises(ValueError, match="power of the modulus"):
+            rhs(alternating4(), None, delta)
+        assert rhs(alternating4(), 2, delta).domain.p == 2
+
+    def test_catalog_satisfies_engine_conditions(self, trefoil):
+        delta = alexander_polynomial(trefoil)
+        for name, group, modulus in catalog_under_24():
+            assert rhs(group, modulus, delta).domain.p == modulus, name
 
 
 class TestVerify:
@@ -212,17 +352,6 @@ class TestVerify:
                             "modulus", "elapsed_ms"}
         assert obj["verdicts"] == [True]
         assert obj["modulus"] == 3
-
-    def test_conjecture_p3_reproduces_d3c3(self, table):
-        for name in ("3_1", "8_18"):
-            a = verify_congruence(table[name], name, make_case("d3c3"))
-            b = verify_congruence(table[name], name,
-                                  make_case("conjecture", p=3))
-            assert a.surjections_found == b.surjections_found
-            assert a.verdicts == b.verdicts
-            lhs_a = sorted(str(rational_normalize(x)) for x in a.lhs)
-            lhs_b = sorted(str(rational_normalize(x)) for x in b.lhs)
-            assert lhs_a == lhs_b
 
 
 class TestMatrices:
