@@ -33,7 +33,6 @@ from .theorems import TheoremCase, make_case, rhs, verify_congruence
 from .twisted import (
     TwistedAlexanderResult,
     alexander_polynomial,
-    twisted_alexander_mod,
     wada_invariant,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "rhs",
     "simplify_presentation",
     "substitute_scale",
-    "twisted_alexander_mod",
     "verify_congruence",
     "wada_invariant",
     "wirtinger_from_pd",

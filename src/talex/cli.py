@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import __version__
-from .algebra import INTEGERS, prime_field, to_text
+from .algebra import CoefficientDomain, to_text
 from .groups import (
     FiniteGroup,
     GroupValidationError,
@@ -35,6 +35,7 @@ from .groups import (
     dp_semidirect_cp,
     group_from_cayley_json,
     metacyclic,
+    regular_representation,
 )
 from .homsearch import (
     DEFAULT_BUDGET,
@@ -49,8 +50,7 @@ from .theorems import (
     make_case,
     verify_congruence,
 )
-from .twisted import alexander_polynomial, twisted_alexander_mod, wada_invariant
-from .groups import regular_representation
+from .twisted import alexander_polynomial, wada_invariant
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -80,6 +80,13 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         except (OSError, json.JSONDecodeError, GroupValidationError,
                 KeyError) as exc:
             raise CliError(f"cannot load Cayley table {path!r}: {exc}")
+    try:
+        return _catalog_group(spec)
+    except ValueError as exc:  # a constructor rejected the parameters
+        raise CliError(str(exc))
+
+
+def _catalog_group(spec: str) -> FiniteGroup:
     if spec == "A4":
         return alternating4()
     m = re.fullmatch(r"C(\d+)", spec)
@@ -90,37 +97,22 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         p, c = int(m.group(1)), int(m.group(2))
         if p != c:
             raise CliError(f"semidirect spec must be DpsCp, got {spec!r}")
-        if p == 3:
-            return d3_semidirect_c3()
-        try:
-            return dp_semidirect_cp(p)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return d3_semidirect_c3() if p == 3 else dp_semidirect_cp(p)
     m = re.fullmatch(r"D(\d+)", spec)
     if m:
         q = int(m.group(1))
         if q % 2 == 0:
             raise CliError(f"D{q}: {_EVEN_DEGREE_HINT}")
-        try:
-            return dihedral(q)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return dihedral(q)
     m = re.fullmatch(r"Dic(\d+)", spec)
     if m:
         q = int(m.group(1))
         if q % 2 == 0:
             raise CliError(f"Dic{q}: {_EVEN_DEGREE_HINT}")
-        try:
-            return dicyclic(q)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return dicyclic(q)
     m = re.fullmatch(r"G\((\d+),(\d+)\|(\d+)\)", spec)
     if m:
-        try:
-            return metacyclic(int(m.group(1)), int(m.group(2)),
-                              int(m.group(3)))
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return metacyclic(int(m.group(1)), int(m.group(2)), int(m.group(3)))
     if "x" in spec:  # direct products, e.g. D3xC3 or C2xC2
         left, right = spec.split("x", 1)
         return direct_product(parse_group_spec(left),
@@ -142,6 +134,8 @@ def _select_knots(args, table) -> list[str]:
     if args.all_knots:
         return sorted(table)
     names = args.knot or []
+    if not names:
+        raise CliError("no knot selected: pass --knot NAME or --all-knots")
     for name in names:
         if name not in table:
             raise CliError(f"unknown knot {name!r} (table has: "
@@ -171,20 +165,19 @@ def cmd_alexander(args) -> int:
     return EXIT_OK
 
 
-def _check_modulus(mod):
-    if mod is not None:
-        try:
-            prime_field(mod)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    return mod
+def _coefficient_domain(mod) -> CoefficientDomain:
+    try:
+        return CoefficientDomain(mod)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def cmd_compute(args) -> int:
     table = _load_table(args)
     names = _select_knots(args, table)
     group = parse_group_spec(args.group)
-    mod = _check_modulus(args.mod)
+    mod = args.mod
+    domain = _coefficient_domain(mod)
     rep = regular_representation(group)
     results, lines = [], []
     worst = EXIT_OK
@@ -208,10 +201,7 @@ def cmd_compute(args) -> int:
             continue
         invariants = []
         for f in surjections:
-            if mod is None:
-                res = wada_invariant(pres, f, rep, INTEGERS)
-            else:
-                res = twisted_alexander_mod(pres, f, rep, mod)
+            res = wada_invariant(pres, f, rep, domain)
             invariants.append({"images": list(f.images), **res.to_json()})
             lines.append(f"{name} -> {group.name}"
                          + (f" mod {mod}" if mod else "")
@@ -237,7 +227,7 @@ def _case_from_args(args):
     except ValueError as exc:
         raise CliError(str(exc))
     if args.mod is not None:
-        _check_modulus(args.mod)
+        _coefficient_domain(args.mod)
         if case.name == "cyclic":
             case = make_case("cyclic", n=args.n, modulus=args.mod)
         elif args.mod != case.modulus:

@@ -196,9 +196,9 @@ def regular_equivalence_classes(homs: list[Homomorphism]
     classes: list[list[Homomorphism]] = []
     for h in homs:
         for cls in classes:
-            rep = cls[0]
-            if rep.group is h.group and extends_to_automorphism(
-                    h.group, rep.images, h.images):
+            first = cls[0]
+            if first.group is h.group and extends_to_automorphism(
+                    h.group, first.images, h.images):
                 cls.append(h)
                 break
         else:

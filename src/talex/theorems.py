@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     INTEGERS,
+    CoefficientDomain,
     LaurentPolynomial,
     RationalFunction,
     _is_prime,
@@ -79,7 +80,7 @@ from .homsearch import (
     regular_equivalence_classes,
 )
 from .knots import KnotPresentation
-from .twisted import alexander_polynomial, twisted_alexander_mod, wada_invariant
+from .twisted import alexander_polynomial, wada_invariant
 
 # case name -> group from the case's parameters; the constructors are looked
 # up when called, so rebinding a module-level name reaches every case
@@ -288,11 +289,9 @@ def verify_congruence(pres: KnotPresentation, knot_name: str,
     rhs_value = rhs(group, case.modulus, delta)
     lhs_values = []
     verdicts = []
+    domain = CoefficientDomain(case.modulus)
     for f in surjections:
-        if case.modulus is None:
-            res = wada_invariant(pres, f, rep, INTEGERS)
-        else:
-            res = twisted_alexander_mod(pres, f, rep, case.modulus)
+        res = wada_invariant(pres, f, rep, domain)
         lhs_values.append(res.normalized)
         verdicts.append(equal_up_to_unit(res.normalized, rhs_value))
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -351,6 +350,7 @@ def sweep_nonvanishing(table: dict[str, KnotPresentation],
     out = []
     for group_name, group, modulus in catalog_under_24():
         rep = regular_representation(group)
+        domain = CoefficientDomain(modulus)
         for knot_name in sorted(table):
             start = time.perf_counter()
             pres = table[knot_name]
@@ -359,11 +359,7 @@ def sweep_nonvanishing(table: dict[str, KnotPresentation],
             classes = regular_equivalence_classes(homs)
             all_nonzero = True
             for cls in classes:
-                f = cls[0]
-                if modulus is None:
-                    res = wada_invariant(pres, f, rep, INTEGERS)
-                else:
-                    res = twisted_alexander_mod(pres, f, rep, modulus)
+                res = wada_invariant(pres, cls[0], rep, domain)
                 if res.is_zero:
                     all_nonzero = False
             rec = NonvanishingRecord(

@@ -1,25 +1,31 @@
 """Wada's twisted Alexander invariant from a presentation, a surjection
-onto a finite group, and a matrix representation.
+onto a finite group, and a permutation representation.
 
 For a deficiency-one meridional presentation with generators x_1..x_m and
 relators r_1..r_{m-1}, a surjection f onto G, and a representation rho of
 G, the invariant is the quotient of two determinants: the big one of the
 (m-1) x (m-1) block matrix of Fox derivatives pushed through rho.f tensor
-the abelianization, and the small one of (rho.f tensor phi)(x_j - 1) for a
-dropped generator x_j.  The quotient, up to units c*t^k, does not depend
-on the choices; this module always drops the largest-index generator with
-a nonvanishing small determinant (for regular representations that is
-always x_m, since the small determinant is +-(t^k - 1)^(|G|/k)).
+the abelianization phi, and the small one of (rho.f tensor phi)(x_j - 1)
+for a dropped generator x_j.  The quotient, up to units c*t^k, does not
+depend on j (Wada, Topology 33, 1994); this module drops x_m unless the
+caller names another generator.
+
+Every representation is by permutation matrices (see groups.MatrixRep),
+so the small determinant is det(t*P - I) for the permutation matrix P of
+f(x_j), which is the product over the cycles of P of (-1)^(len+1) *
+(t^len - 1).  It never vanishes, over the integers or over any F_p; for
+the regular representation and f(x_j) of order k it is
++-(t^k - 1)^(|G|/k).
 
 Block rows are ordered by (relator, representation row) and block columns
 by (kept generator ascending, representation column).
 
-When the target group is abelian and the representation is by permutation
-matrices, all blocks lie in one commutative matrix algebra, so the big
-determinant equals det(Phi(D)) where D is the determinant of the small
-(m-1) x (m-1) matrix of group-algebra symbols and Phi blows a symbol up
-to its matrix.  This cuts the expensive elimination from size
-(m-1)*|G| down to |G| and is bit-identical to the generic route.
+When the target group is abelian, all blocks lie in one commutative
+matrix algebra, so the big determinant equals det(Phi(D)) where D is the
+determinant of the small (m-1) x (m-1) matrix of group-algebra symbols
+and Phi blows a symbol up to its matrix.  This cuts the expensive
+elimination from size (m-1)*|G| down to |G| and is bit-identical to the
+generic route.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .algebra import (
     PolyMatrix,
     RationalFunction,
     determinant,
-    prime_field,
     rational_normalize,
 )
 from .groups import MatrixRep, trivial_group, trivial_representation
@@ -44,11 +49,6 @@ from .knots import (
     abelian_exponent,
     fox_derivative,
 )
-
-
-class DenominatorVanishesError(ArithmeticError):
-    """Every candidate denominator determinant is zero (cannot happen for
-    regular representations)."""
 
 
 @dataclass(frozen=True)
@@ -75,51 +75,30 @@ class TwistedAlexanderResult:
         }
 
 
-def _scaled_coefficient(c: int, e: int, s: int,
-                        domain: CoefficientDomain) -> int:
-    if s == 1:
-        return c
-    if domain.p is not None:
-        return c * pow(s, e, domain.p)
-    return c * (s ** abs(e))  # s is +-1 over the integers
-
-
 def evaluate_rep_phi(element: GroupRingElement, f: Homomorphism,
-                     rep: MatrixRep, domain: CoefficientDomain,
-                     meridian_scale: int = 1) -> PolyMatrix:
-    """(rho.f tensor phi) extended linearly: each group ring term c*w
-    contributes c * s^phi(w) * t^phi(w) * rho(f(w)), where s is the
-    optional meridian scale (a unit of the domain, 1 by default)."""
+                     rep: MatrixRep, domain: CoefficientDomain) -> PolyMatrix:
+    """(rho.f tensor phi) extended linearly: each group ring term c*w adds
+    c * t^phi(w) at the cells (perm[j], j) of rho(f(w)), O(dim) per term."""
     if rep.group is not f.group:
         raise ValueError("representation and homomorphism target differ")
     dim = rep.dimension
-    s = domain.reduce(meridian_scale)
-    if s != domain.reduce(1):
-        domain.inv(s)  # must be a unit
-    terms: list[list[dict[int, int]]] = [
-        [{} for _ in range(dim)] for _ in range(dim)]
+    terms: list[dict[int, int]] = [{} for _ in range(dim * dim)]
     for word, c in element.items():
-        g = evaluate_word(f.group, f.images, word)
+        perm = rep.perms[evaluate_word(f.group, f.images, word)]
         e = abelian_exponent(word)
-        c = _scaled_coefficient(c, e, s, domain)
-        mat = rep.image(g)
-        for i in range(dim):
-            row = mat[i]
-            for j in range(dim):
-                v = row[j]
-                if v:
-                    cell = terms[i][j]
-                    cell[e] = cell.get(e, 0) + c * v
-    entries = [LaurentPolynomial.from_coeff_map(domain, terms[i][j])
-               for i in range(dim) for j in range(dim)]
-    return PolyMatrix(dim, dim, tuple(entries))
+        for j, i in enumerate(perm):
+            cell = terms[i * dim + j]
+            cell[e] = cell.get(e, 0) + c
+    entries = tuple(LaurentPolynomial.from_coeff_map(domain, cell)
+                    for cell in terms)
+    return PolyMatrix(dim, dim, entries)
 
 
 def _generator_minus_one(j: int) -> GroupRingElement:
     return {(j,): 1, (): -1}
 
 
-def _abelian_fast_path(pres, f, rep, domain, meridian_scale, kept):
+def _abelian_fast_path(pres, f, rep, domain, kept):
     """Numerator determinant via group-algebra symbols.
 
     Representations of an abelian group have pairwise commuting images, so
@@ -133,7 +112,6 @@ def _abelian_fast_path(pres, f, rep, domain, meridian_scale, kept):
     group = f.group
     m1 = len(kept)
     zero = LaurentPolynomial.zero(domain)
-    s = domain.reduce(meridian_scale)
 
     def symbol(element: GroupRingElement) -> dict[int, LaurentPolynomial]:
         acc: dict[int, dict[int, int]] = {}
@@ -141,7 +119,7 @@ def _abelian_fast_path(pres, f, rep, domain, meridian_scale, kept):
             g = evaluate_word(group, f.images, word)
             e = abelian_exponent(word)
             cell = acc.setdefault(g, {})
-            cell[e] = cell.get(e, 0) + _scaled_coefficient(c, e, s, domain)
+            cell[e] = cell.get(e, 0) + c
         out = {}
         for g, cell in acc.items():
             poly = LaurentPolynomial.from_coeff_map(domain, cell)
@@ -196,28 +174,24 @@ def _abelian_fast_path(pres, f, rep, domain, meridian_scale, kept):
     dim = rep.dimension
     rows = [[zero] * dim for _ in range(dim)]
     for g, poly in d.items():
-        mat = rep.image(g)
-        for i in range(dim):
-            row = mat[i]
-            for j in range(dim):
-                v = row[j]
-                if v:
-                    rows[i][j] = rows[i][j] + poly.scale(v)
+        for j, i in enumerate(rep.perms[g]):
+            rows[i][j] = rows[i][j] + poly
     return determinant(PolyMatrix.from_rows(rows))
 
 
 def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
                    domain: CoefficientDomain = INTEGERS,
-                   meridian_scale: int = 1,
                    dropped_generator: int | None = None
                    ) -> TwistedAlexanderResult:
     """The twisted invariant for an m-generator, (m-1)-relator meridional
-    presentation; numerator and denominator are returned unreduced along
-    with the normalized quotient.
+    presentation, over the integers or F_p as the domain says; numerator
+    and denominator are returned unreduced along with the normalized
+    quotient.
 
-    By default the largest-index generator with nonvanishing denominator
-    is dropped; an explicit dropped_generator (1-based) overrides this,
-    which changes the result only by a unit.
+    x_m is dropped unless dropped_generator (1-based) names another
+    generator, which changes the result only by a unit.  The denominator
+    det(t*rho(f(x_j)) - I) is +-prod over the cycles of rho(f(x_j)) of
+    (t^len - 1), nonzero over every domain, so any choice is valid.
     """
     m = pres.generators
     if len(pres.relators) != m - 1:
@@ -226,33 +200,20 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
             "relators")
     if not pres.meridional:
         raise ValueError("twisted invariants need a meridional presentation")
-
-    dropped = None
-    den = None
-    candidates = ([dropped_generator] if dropped_generator is not None
-                  else range(m, 0, -1))
-    for j in candidates:
-        if not 1 <= j <= m:
-            raise ValueError(f"dropped generator {j} out of range")
-        cand = determinant(evaluate_rep_phi(
-            _generator_minus_one(j), f, rep, domain, meridian_scale))
-        if not cand.is_zero:
-            dropped, den = j, cand
-            break
-    if dropped is None:
-        raise DenominatorVanishesError(
-            "det((rho tensor phi)(x_j - 1)) vanishes for every candidate "
-            "generator")
+    dropped = m if dropped_generator is None else dropped_generator
+    if not 1 <= dropped <= m:
+        raise ValueError(f"dropped generator {dropped} out of range")
+    den = determinant(evaluate_rep_phi(
+        _generator_minus_one(dropped), f, rep, domain))
 
     kept = [j for j in range(1, m + 1) if j != dropped]
     if m == 1:
         num = LaurentPolynomial.one(domain)
     elif m >= 3 and rep.dimension >= 2 and f.group.is_abelian():
-        num = _abelian_fast_path(pres, f, rep, domain, meridian_scale, kept)
+        num = _abelian_fast_path(pres, f, rep, domain, kept)
     else:
         dim = rep.dimension
-        blocks = [[evaluate_rep_phi(fox_derivative(r, j), f, rep, domain,
-                                    meridian_scale)
+        blocks = [[evaluate_rep_phi(fox_derivative(r, j), f, rep, domain)
                    for j in kept] for r in pres.relators]
         size = (m - 1) * dim
         rows = []
@@ -268,23 +229,6 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
 
     normalized = rational_normalize(RationalFunction(num, den))
     return TwistedAlexanderResult(num, den, dropped, normalized, domain)
-
-
-def twisted_alexander_mod(pres: KnotPresentation, f: Homomorphism,
-                          rep: MatrixRep, p: int,
-                          meridian_scale: int = 1,
-                          dropped_generator: int | None = None
-                          ) -> TwistedAlexanderResult:
-    """Same pipeline with all arithmetic in F_p from the start; equal up to
-    unit to the reduction of the exact result whenever the exact
-    denominator survives mod p."""
-    try:
-        return wada_invariant(pres, f, rep, prime_field(p), meridian_scale,
-                              dropped_generator)
-    except DenominatorVanishesError as exc:
-        raise DenominatorVanishesError(
-            f"every candidate denominator vanishes identically mod {p}"
-        ) from exc
 
 
 def alexander_polynomial(pres: KnotPresentation) -> LaurentPolynomial:

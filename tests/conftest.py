@@ -2,8 +2,13 @@ import json
 
 import pytest
 
-from talex.algebra import INTEGERS, LaurentPolynomial
-from talex.knots import PDCode, bundled_table, bundled_table_path
+from talex.algebra import INTEGERS, LaurentPolynomial, PolyMatrix
+from talex.knots import (
+    PDCode,
+    abelian_exponent,
+    bundled_table,
+    bundled_table_path,
+)
 
 
 def bundled_pd_codes() -> dict[str, PDCode]:
@@ -31,3 +36,25 @@ def figure_eight(table):
 def poly(coeffs, min_exp=0, domain=INTEGERS):
     """Ascending coefficient list starting at t^min_exp."""
     return LaurentPolynomial.make(domain, min_exp, coeffs)
+
+
+def dense_rep_phi(element, f, rep, domain, scale=1):
+    """Oracle for twisted.evaluate_rep_phi: each image is built as a dense
+    matrix from its column map and added cell by cell over all dim^2
+    entries.  A scale other than 1 (a unit of F_p) twists every term c*w
+    by scale^phi(w), which substitutes t -> scale*t."""
+    dim = rep.dimension
+    cells = [[{} for _ in range(dim)] for _ in range(dim)]
+    for word, c in element.items():
+        perm = rep.perms[f.image_of_word(word)]
+        mat = [[int(perm[j] == i) for j in range(dim)] for i in range(dim)]
+        e = abelian_exponent(word)
+        if scale != 1:
+            c *= pow(scale, e, domain.p)
+        for i in range(dim):
+            for j in range(dim):
+                if mat[i][j]:
+                    cells[i][j][e] = cells[i][j].get(e, 0) + c * mat[i][j]
+    return PolyMatrix.from_rows(
+        [[LaurentPolynomial.from_coeff_map(domain, cell) for cell in row]
+         for row in cells])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import poly
 from talex.algebra import (
     INTEGERS,
-    CoefficientDomain,
     DomainMismatchError,
     LaurentPolynomial,
     NonInvertibleScalarError,

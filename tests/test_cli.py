@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from talex.algebra import (
     LaurentPolynomial,
     RationalFunction,
@@ -49,8 +47,10 @@ class TestAlexander:
             ["3_1", "4_1", "5_2", "6_1", "7_4", "8_18"]
 
     def test_empty_knot_list(self, capsys):
-        code, report, _ = run_json(capsys, "alexander")
-        assert code == 0 and report["results"] == []
+        # no --knot and no --all-knots is bad input, not an empty success
+        code, out, err = run(capsys, "alexander", "--format", "json")
+        assert code == 3 and out == ""
+        assert err.startswith("error: no knot selected")
 
 
 class TestCompute:
@@ -91,6 +91,12 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--knot", "3_1",
                            "--group", "Q8")
         assert code == 3 and "unrecognized group spec" in err
+
+    def test_invalid_group_parameters(self, capsys):
+        for spec in ("C0", "D1", "Dic1", "G(3,8|2)", "D4sC4"):
+            code, _, err = run(capsys, "compute", "--knot", "3_1",
+                               "--group", spec)
+            assert code == 3 and err.startswith("error:"), spec
 
     def test_even_dihedral_hint(self, capsys):
         code, _, err = run(capsys, "compute", "--knot", "3_1",
@@ -152,6 +158,11 @@ class TestVerify:
                            "dihedral_times_cyclic", "--p", "3", "--m", "2",
                            "--knot", "3_1")
         assert code == 3 and "m odd" in err
+
+    def test_no_knot_selected(self, capsys):
+        code, out, err = run(capsys, "verify", "--case", "a4")
+        assert code == 3 and out == ""
+        assert err.startswith("error: no knot selected")
 
     def test_missing_case(self, capsys):
         code, _, err = run(capsys, "verify", "--knot", "3_1")
@@ -225,8 +236,16 @@ class TestSurjections:
         assert code == 2
 
     def test_empty_knot_list(self, capsys):
-        code, report, _ = run_json(capsys, "surjections", "--group", "D3")
-        assert code == 0 and report["results"] == []
+        code, out, err = run(capsys, "surjections", "--group", "D3")
+        assert code == 3 and out == ""
+        assert err.startswith("error: no knot selected")
+
+    def test_invalid_factor_rejected(self, capsys):
+        # C0 fails inside a direct product; still bad input, exit 3
+        code, _, err = run(capsys, "surjections", "--group", "C0xC3",
+                           "--knot", "3_1")
+        assert code == 3
+        assert err.startswith("error:") and "positive" in err
 
     def test_one_search_per_knot(self, capsys, monkeypatch):
         import talex.cli

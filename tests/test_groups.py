@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import pytest
@@ -7,12 +6,14 @@ from talex.algebra import LaurentPolynomial, PolyMatrix, determinant
 from talex.groups import (
     FiniteGroup,
     GroupValidationError,
+    MatrixRep,
     alternating4,
     cyclic,
     d3_semidirect_c3,
     dicyclic,
     dihedral,
     direct_product,
+    direct_sum_rep,
     dp_semidirect_cp,
     group_from_cayley_json,
     metacyclic,
@@ -329,11 +330,12 @@ class TestValidation:
 class TestRepresentations:
     def test_trivial_group_regular(self):
         rep = regular_representation(cyclic(1))
-        assert rep.dimension == 1 and rep.images == (((1,),),)
+        assert rep.dimension == 1 and rep.perms == ((0,),)
 
     def test_c2_swap(self):
+        # the image of the generator is the matrix ((0, 1), (1, 0))
         rep = regular_representation(cyclic(2))
-        assert rep.image(1) == ((0, 1), (1, 0))
+        assert rep.perms == ((0, 1), (1, 0))
 
     def test_d9_dimension(self):
         assert regular_representation(dihedral(9)).dimension == 18
@@ -342,12 +344,19 @@ class TestRepresentations:
     def test_regular_rep_validates(self, g):
         rep = regular_representation(g)
         rep.validate()
-        assert rep.as_permutations() is not None
 
     def test_trivial_representation(self):
         rep = trivial_representation(dihedral(3))
         rep.validate()
         assert rep.dimension == 1
+
+    def test_direct_sum_of_regular_and_trivial_validates(self):
+        g = dihedral(3)
+        rep = direct_sum_rep(regular_representation(g),
+                             trivial_representation(g))
+        rep.validate()
+        assert rep.dimension == 7
+        assert all(p[6] == 6 for p in rep.perms)
 
     @pytest.mark.parametrize(
         "g", [cyclic(4), dihedral(3), dicyclic(3), alternating4()],
@@ -360,8 +369,8 @@ class TestRepresentations:
         zero = LaurentPolynomial.zero()
         for x in g.elements():
             k = g.element_order(x)
-            mat = rep.image(x)
-            rows = [[(t if mat[i][j] else zero) - (one if i == j else zero)
+            perm = rep.perms[x]
+            rows = [[(t if perm[j] == i else zero) - (one if i == j else zero)
                      for j in range(g.order)] for i in range(g.order)]
             det = determinant(PolyMatrix.from_rows(rows))
             cyc = LaurentPolynomial.make(
@@ -369,20 +378,22 @@ class TestRepresentations:
             expected = cyc ** (g.order // k)
             assert det in (expected, -expected)
 
-    def test_validate_checks_large_dense_rep(self):
-        # n^2 d^3 = 4 * 101^3 is over 4e6, and the check still runs in full
-        from talex.groups import MatrixRep
-        d = 101
-        ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        neg = [[-int(i == j) for j in range(d)] for i in range(d)]
-        neg[0][1] = 1  # -I squares to I; this entry breaks the square
-        bad = MatrixRep(cyclic(2), d, (ident, tuple(map(tuple, neg))))
+    def test_validate_rejects_broken_rep(self):
+        # the image of 1 sends both points to 0: not a bijection
+        bad = MatrixRep(cyclic(2), 2, ((0, 1), (0, 0)))
+        with pytest.raises(GroupValidationError, match="bijection"):
+            bad.validate()
+
+    def test_validate_rejects_law_violation(self):
+        # bijections throughout, but rho(2) = rho(1) != rho(1)^2
+        cycle = (1, 2, 0)
+        bad = MatrixRep(cyclic(3), 3, ((0, 1, 2), cycle, cycle))
         with pytest.raises(GroupValidationError, match="homomorphism"):
             bad.validate()
 
-    def test_validate_rejects_broken_rep(self):
+    def test_validate_rejects_wrong_identity_and_count(self):
         g = cyclic(2)
-        from talex.groups import MatrixRep
-        bad = MatrixRep(g, 1, (((1,),), ((2,),)))
-        with pytest.raises(GroupValidationError):
-            bad.validate()
+        with pytest.raises(GroupValidationError, match="identity"):
+            MatrixRep(g, 2, ((1, 0), (1, 0))).validate()
+        with pytest.raises(GroupValidationError, match="one image"):
+            MatrixRep(g, 2, ((0, 1),)).validate()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from conftest import poly
 from talex.algebra import (
-    INTEGERS,
     LaurentPolynomial,
     PolyMatrix,
     determinant,
@@ -19,7 +18,6 @@ from talex.knots import (
     PDCode,
     PDValidationError,
     abelian_exponent,
-    bundled_table,
     fox_derivative,
     free_reduce,
     invert_word,

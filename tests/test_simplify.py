@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import bundled_pd_codes
+from talex.algebra import CoefficientDomain
 from talex.groups import (
     alternating4,
     cyclic,
@@ -24,11 +25,7 @@ from talex.knots import (
     simplify_presentation,
     wirtinger_from_pd,
 )
-from talex.twisted import (
-    alexander_polynomial,
-    twisted_alexander_mod,
-    wada_invariant,
-)
+from talex.twisted import alexander_polynomial, wada_invariant
 
 
 PD_CODES = bundled_pd_codes()
@@ -47,14 +44,10 @@ def raw_and_simplified(request):
 
 def _invariants(pres, group, p) -> Counter:
     rep = regular_representation(group)
-    out = Counter()
-    for f in find_meridional_surjections(pres, group, up_to_conjugacy=True):
-        if p is None:
-            res = wada_invariant(pres, f, rep)
-        else:
-            res = twisted_alexander_mod(pres, f, rep, p)
-        out[res.normalized] += 1
-    return out
+    domain = CoefficientDomain(p)
+    return Counter(wada_invariant(pres, f, rep, domain).normalized
+                   for f in find_meridional_surjections(
+                       pres, group, up_to_conjugacy=True))
 
 
 class TestAgainstRawPresentation:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import bundled_pd_codes, poly
+from conftest import bundled_pd_codes, dense_rep_phi, poly
 from talex.algebra import (
     INTEGERS,
     LaurentPolynomial,
@@ -11,13 +11,13 @@ from talex.algebra import (
     prime_field,
     rational_normalize,
     reduce_mod,
-    substitute_scale,
 )
 from talex.groups import (
     alternating4,
     cyclic,
     dicyclic,
     dihedral,
+    direct_product,
     direct_sum_rep,
     regular_representation,
     trivial_representation,
@@ -25,10 +25,8 @@ from talex.groups import (
 from talex.homsearch import Homomorphism, find_meridional_surjections
 from talex.knots import KnotPresentation, fox_derivative, wirtinger_from_pd
 from talex.twisted import (
-    DenominatorVanishesError,
-    evaluate_rep_phi,
     alexander_polynomial,
-    twisted_alexander_mod,
+    evaluate_rep_phi,
     wada_invariant,
 )
 
@@ -64,10 +62,9 @@ class TestEvaluateRepPhi:
         rep = regular_representation(g)
         f = Homomorphism(g, (1,))
         m = evaluate_rep_phi({(1,): 1}, f, rep, INTEGERS)
-        img = rep.image(1)
         for i in range(3):
             for j in range(3):
-                coeff = img[i][j]
+                coeff = int(rep.perms[1][j] == i)
                 assert m.entry(i, j) == LaurentPolynomial.make(
                     INTEGERS, 1, (coeff,))
 
@@ -85,6 +82,27 @@ class TestEvaluateRepPhi:
         cyc = LaurentPolynomial.make(INTEGERS, 0, [-1] + [0] * (k - 1) + [1])
         expected = cyc ** (g.order // k)
         assert det in (expected, -expected)
+
+    @pytest.mark.parametrize("g", [
+        dihedral(3), alternating4(), dicyclic(3),
+        direct_product(cyclic(2), cyclic(2))], ids=lambda g: g.name)
+    @pytest.mark.parametrize("domain", [INTEGERS, prime_field(3)],
+                             ids=repr)
+    def test_matches_dense_oracle(self, g, domain):
+        # Fox derivatives of the raw Wirtinger relators; the generator
+        # images need not satisfy the relators for a term-wise evaluation
+        pd = bundled_pd_codes()
+        rep = regular_representation(g)
+        for name in ("3_1", "5_2"):
+            pres = wirtinger_from_pd(pd[name])
+            m = pres.generators
+            f = Homomorphism(g, tuple((5 * i + 1) % g.order
+                                      for i in range(m)))
+            for r in pres.relators:
+                for j in range(1, m + 1):
+                    d = fox_derivative(r, j)
+                    assert evaluate_rep_phi(d, f, rep, domain) == \
+                        dense_rep_phi(d, f, rep, domain), (name, r, j)
 
     def test_group_mismatch(self):
         f = Homomorphism(dihedral(3), (3,))
@@ -129,8 +147,8 @@ class TestWadaInvariant:
         den = (tp1 ** 3) * (f6 ** 3) * (tm1 ** 3) * (fc3 ** 3)
         assert equal_up_to_unit(res.normalized, RationalFunction(num, den))
         # and mod 3 the same data collapses to (t+1)^9 (t-1)^9
-        res3 = twisted_alexander_mod(trefoil, fhat,
-                                     regular_representation(d9), 3)
+        res3 = wada_invariant(trefoil, fhat, regular_representation(d9),
+                              prime_field(3))
         F3 = prime_field(3)
         expected3 = RationalFunction.of(
             (poly([1, 1], domain=F3) ** 9) * (poly([-1, 1], domain=F3) ** 9))
@@ -194,15 +212,10 @@ class TestWadaInvariant:
                 continue
             f = surj[0]
             use_mod = (pres.generators - 1) * group.order > 40
-            results = []
-            for j in range(1, pres.generators + 1):
-                if use_mod:
-                    res = twisted_alexander_mod(pres, f, rep, 5,
-                                                dropped_generator=j)
-                else:
-                    res = wada_invariant(pres, f, rep,
-                                         dropped_generator=j)
-                results.append(res.normalized)
+            domain = prime_field(5) if use_mod else INTEGERS
+            results = [wada_invariant(pres, f, rep, domain,
+                                      dropped_generator=j).normalized
+                       for j in range(1, pres.generators + 1)]
             for other in results[1:]:
                 assert equal_up_to_unit(results[0], other), (name, group.name)
 
@@ -216,20 +229,6 @@ class TestWadaInvariant:
         b = wada_invariant(trefoil, f, r2).normalized
         c = wada_invariant(trefoil, f, both).normalized
         assert equal_up_to_unit(c, a * b)
-
-    def test_scalar_twist_shift(self, trefoil):
-        # twisting every meridian by a scalar c substitutes t -> c*t
-        g = dihedral(3)
-        f = find_meridional_surjections(trefoil, g, up_to_conjugacy=True)[0]
-        rep = regular_representation(g)
-        for p, c in ((5, 2), (7, 3)):
-            plain = twisted_alexander_mod(trefoil, f, rep, p)
-            twisted = twisted_alexander_mod(trefoil, f, rep, p,
-                                            meridian_scale=c)
-            shifted = RationalFunction(
-                substitute_scale(plain.normalized.numerator, c),
-                substitute_scale(plain.normalized.denominator, c))
-            assert equal_up_to_unit(twisted.normalized, shifted)
 
     def test_row_identity(self, trefoil):
         # sum_j M(dr/dx_j) M(x_j - 1) = M(r) - I = 0 for each relator
@@ -272,8 +271,8 @@ class TestTwistedMod:
             f = Homomorphism(g, tuple([0] * pres.generators))
             exact = wada_invariant(pres, f, trivial_representation(g))
             for p in (3, 7):
-                modded = twisted_alexander_mod(pres, f,
-                                               trivial_representation(g), p)
+                modded = wada_invariant(pres, f, trivial_representation(g),
+                                        prime_field(p))
                 assert equal_up_to_unit(
                     modded.normalized,
                     rational_normalize(exact.normalized.reduce_mod(p)))
@@ -287,7 +286,7 @@ class TestTwistedMod:
             den = reduce_mod(exact.denominator, p)
             if den.is_zero:
                 continue
-            modded = twisted_alexander_mod(trefoil, f, rep, p)
+            modded = wada_invariant(trefoil, f, rep, prime_field(p))
             reduced = RationalFunction(reduce_mod(exact.numerator, p), den)
             assert equal_up_to_unit(modded.normalized,
                                     rational_normalize(reduced))
@@ -296,16 +295,35 @@ class TestTwistedMod:
         g = dihedral(3)
         rep = regular_representation(g)
         surj = find_meridional_surjections(trefoil, g)
-        results = {twisted_alexander_mod(trefoil, f, rep, 3).normalized
+        results = {wada_invariant(trefoil, f, rep, prime_field(3)).normalized
                    for f in surj}
         assert len(results) == 1
 
-    def test_regular_denominators_never_vanish(self):
-        # the denominator of a regular representation is +-(t^k - 1)^e,
-        # nonzero over any domain, so the error path stays unreachable
-        g = cyclic(3)
-        pres = KnotPresentation(2, ((1, -2),))
-        f = Homomorphism(g, (1, 1))
-        res = twisted_alexander_mod(pres, f, regular_representation(g), 3)
-        assert not res.denominator.is_zero
-        assert issubclass(DenominatorVanishesError, ArithmeticError)
+    def test_regular_denominators_never_vanish(self, trefoil):
+        # det(t*P - I) is the product over the cycles of P of
+        # (-1)^(len+1) (t^len - 1), nonzero over every domain; checked on
+        # regular + trivial, whose reflections have cycles of length 2 and 1
+        g = dihedral(3)
+        f = find_meridional_surjections(trefoil, g, up_to_conjugacy=True)[0]
+        rep = direct_sum_rep(regular_representation(g),
+                             trivial_representation(g))
+        for domain in (INTEGERS, prime_field(2), prime_field(3)):
+            for j in range(1, trefoil.generators + 1):
+                perm = rep.perms[f.images[j - 1]]
+                expected = LaurentPolynomial.one(domain)
+                seen = set()
+                for start in range(rep.dimension):
+                    length, x = 0, start
+                    while x not in seen:
+                        seen.add(x)
+                        x = perm[x]
+                        length += 1
+                    if length:
+                        cycle = poly([-1] + [0] * (length - 1) + [1],
+                                     domain=domain)
+                        expected = expected * cycle.scale(
+                            (-1) ** (length + 1))
+                res = wada_invariant(trefoil, f, rep, domain,
+                                     dropped_generator=j)
+                assert res.denominator == expected
+                assert not expected.is_zero
