@@ -189,9 +189,12 @@ def regular_equivalence_classes(homs: list[Homomorphism]
     regular representation are conjugate representations.
 
     Two surjections related by f' = sigma . f for an automorphism sigma
-    give conjugate compositions (the regular representation is invariant
-    under automorphisms), hence equal twisted invariants; sweeps compute
-    one member per class.
+    give conjugate compositions: reg(sigma(g)) = Q reg(g) Q^-1 for the
+    permutation matrix Q of sigma on the element basis.  Both Wada
+    matrices are then conjugated by a block diagonal of copies of Q, so
+    the unreduced numerator and denominator are equal, not only equal up
+    to a unit.  Every caller (twisted.invariants, and through it verify,
+    compute and the nonvanishing sweep) computes one member per class.
     """
     classes: list[list[Homomorphism]] = []
     for h in homs:

@@ -74,13 +74,9 @@ from .groups import (
     metacyclic,
     regular_representation,
 )
-from .homsearch import (
-    DEFAULT_BUDGET,
-    find_meridional_surjections,
-    regular_equivalence_classes,
-)
+from .homsearch import DEFAULT_BUDGET, find_meridional_surjections
 from .knots import KnotPresentation
-from .twisted import alexander_polynomial, wada_invariant
+from .twisted import alexander_polynomial, invariants
 
 # case name -> group from the case's parameters; the constructors are looked
 # up when called, so rebinding a module-level name reaches every case
@@ -276,9 +272,10 @@ def verify_congruence(pres: KnotPresentation, knot_name: str,
     """Check the case's formula against every surjection up to conjugacy.
 
     The left side runs through the full twisted pipeline (mod p, or the
-    exact invariant for the cyclic case); the right side is rhs() on the
-    classical Alexander polynomial.  No surjections is a vacuous verdict,
-    not a failure.
+    exact invariant for the cyclic case), evaluated once per automorphism
+    class of surjections; every member records its class's value and
+    verdict.  The right side is rhs() on the classical Alexander
+    polynomial.  No surjections is a vacuous verdict, not a failure.
     """
     start = time.perf_counter()
     group = group_for_case(case)
@@ -287,19 +284,18 @@ def verify_congruence(pres: KnotPresentation, knot_name: str,
         pres, group, up_to_conjugacy=True, budget=budget)
     delta = alexander_polynomial(pres)
     rhs_value = rhs(group, case.modulus, delta)
-    lhs_values = []
-    verdicts = []
-    domain = CoefficientDomain(case.modulus)
-    for f in surjections:
-        res = wada_invariant(pres, f, rep, domain)
-        lhs_values.append(res.normalized)
-        verdicts.append(equal_up_to_unit(res.normalized, rhs_value))
+    outcome = {}  # image tuple -> (lhs, verdict) of its class
+    for cls, res in invariants(pres, surjections, rep,
+                               CoefficientDomain(case.modulus)):
+        pair = (res.normalized, equal_up_to_unit(res.normalized, rhs_value))
+        outcome.update((f.images, pair) for f in cls)
+    pairs = [outcome[f.images] for f in surjections]
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerdictRecord(
         knot=knot_name, group=group.name, parameters=case.parameters,
-        surjections_found=len(surjections), verdicts=tuple(verdicts),
-        lhs=tuple(lhs_values), rhs=rhs_value, modulus=case.modulus,
-        elapsed_ms=elapsed)
+        surjections_found=len(surjections),
+        verdicts=tuple(v for _, v in pairs), lhs=tuple(x for x, _ in pairs),
+        rhs=rhs_value, modulus=case.modulus, elapsed_ms=elapsed)
 
 
 # -- the order-< 24 catalog and the nonvanishing sweep ---------------------
@@ -342,10 +338,9 @@ def sweep_nonvanishing(table: dict[str, KnotPresentation],
     twisted invariant is nonzero (mod the theorem's p where one applies,
     exact otherwise).
 
-    Surjections are grouped into regular-equivalence classes (one
-    invariant per automorphism orbit; such orbits share the invariant by
-    the conjugate-representation lemma), which keeps the cyclic part of
-    the sweep tractable.
+    ``twisted.invariants`` computes one invariant per automorphism class
+    of surjections (the members share it by the conjugate-representation
+    lemma), so ``classes_computed`` counts the Wada evaluations.
     """
     out = []
     for group_name, group, modulus in catalog_under_24():
@@ -356,16 +351,13 @@ def sweep_nonvanishing(table: dict[str, KnotPresentation],
             pres = table[knot_name]
             homs = find_meridional_surjections(
                 pres, group, up_to_conjugacy=True, budget=budget)
-            classes = regular_equivalence_classes(homs)
-            all_nonzero = True
-            for cls in classes:
-                res = wada_invariant(pres, cls[0], rep, domain)
-                if res.is_zero:
-                    all_nonzero = False
+            results = [res for _, res in
+                       invariants(pres, homs, rep, domain)]
             rec = NonvanishingRecord(
                 knot=knot_name, group=group_name,
-                surjections_found=len(homs), classes_computed=len(classes),
-                all_nonzero=all_nonzero, modulus=modulus,
+                surjections_found=len(homs), classes_computed=len(results),
+                all_nonzero=not any(res.is_zero for res in results),
+                modulus=modulus,
                 elapsed_ms=(time.perf_counter() - start) * 1000.0)
             if progress is not None:
                 progress(rec)

@@ -13,9 +13,16 @@ caller names another generator.
 Every representation is by permutation matrices (see groups.MatrixRep),
 so the small determinant is det(t*P - I) for the permutation matrix P of
 f(x_j), which is the product over the cycles of P of (-1)^(len+1) *
-(t^len - 1).  It never vanishes, over the integers or over any F_p; for
-the regular representation and f(x_j) of order k it is
-+-(t^k - 1)^(|G|/k).
+(t^len - 1).  This module computes it in that closed form, from the
+cycles of P; the determinant of the evaluated x_j - 1 is only the test
+oracle.  It never vanishes, over the integers or over any F_p; for the
+regular representation and f(x_j) of order k it is +-(t^k - 1)^(|G|/k).
+
+For the regular representation, surjections f and sigma.f that differ by
+an automorphism sigma of G give invariants that agree exactly, unreduced
+numerator and denominator included (see
+homsearch.regular_equivalence_classes), so ``invariants`` evaluates one
+member per automorphism class.
 
 Block rows are ordered by (relator, representation row) and block columns
 by (kept generator ascending, representation column).
@@ -42,7 +49,11 @@ from .algebra import (
     rational_normalize,
 )
 from .groups import MatrixRep, trivial_group, trivial_representation
-from .homsearch import Homomorphism, evaluate_word
+from .homsearch import (
+    Homomorphism,
+    evaluate_word,
+    regular_equivalence_classes,
+)
 from .knots import (
     GroupRingElement,
     KnotPresentation,
@@ -94,8 +105,23 @@ def evaluate_rep_phi(element: GroupRingElement, f: Homomorphism,
     return PolyMatrix(dim, dim, entries)
 
 
-def _generator_minus_one(j: int) -> GroupRingElement:
-    return {(j,): 1, (): -1}
+def permutation_denominator(perm, domain: CoefficientDomain
+                            ) -> LaurentPolynomial:
+    """det(t*P - I) for the permutation matrix P of the column map perm:
+    the product over the cycles of P of (-1)^(len+1) * (t^len - 1)."""
+    out = LaurentPolynomial.one(domain)
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            sign = (-1) ** (length + 1)
+            out = out * LaurentPolynomial.make(
+                domain, 0, [-sign] + [0] * (length - 1) + [sign])
+    return out
 
 
 def _abelian_fast_path(pres, f, rep, domain, kept):
@@ -191,7 +217,8 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     x_m is dropped unless dropped_generator (1-based) names another
     generator, which changes the result only by a unit.  The denominator
     det(t*rho(f(x_j)) - I) is +-prod over the cycles of rho(f(x_j)) of
-    (t^len - 1), nonzero over every domain, so any choice is valid.
+    (t^len - 1), computed in that form; it is nonzero over every domain,
+    so any choice is valid.
     """
     m = pres.generators
     if len(pres.relators) != m - 1:
@@ -203,8 +230,7 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     dropped = m if dropped_generator is None else dropped_generator
     if not 1 <= dropped <= m:
         raise ValueError(f"dropped generator {dropped} out of range")
-    den = determinant(evaluate_rep_phi(
-        _generator_minus_one(dropped), f, rep, domain))
+    den = permutation_denominator(rep.perms[f.images[dropped - 1]], domain)
 
     kept = [j for j in range(1, m + 1) if j != dropped]
     if m == 1:
@@ -229,6 +255,21 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
 
     normalized = rational_normalize(RationalFunction(num, den))
     return TwistedAlexanderResult(num, den, dropped, normalized, domain)
+
+
+def invariants(pres: KnotPresentation, homs: list[Homomorphism],
+               rep: MatrixRep, domain: CoefficientDomain = INTEGERS):
+    """Yield (class, result) for each automorphism class of ``homs``, in
+    the order of ``regular_equivalence_classes``: ``wada_invariant`` runs
+    once, on the class's first member, and every member shares the
+    result exactly.  ``rep`` must be the regular representation of the
+    target group, the one whose invariants the classes share.
+    """
+    if rep.perms != rep.group.cayley:
+        raise ValueError("automorphism classes share invariants only for "
+                         "the regular representation")
+    for cls in regular_equivalence_classes(homs):
+        yield cls, wada_invariant(pres, cls[0], rep, domain)
 
 
 def alexander_polynomial(pres: KnotPresentation) -> LaurentPolynomial:

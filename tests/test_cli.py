@@ -1,5 +1,6 @@
 import json
 
+from talex import theorems
 from talex.algebra import (
     LaurentPolynomial,
     RationalFunction,
@@ -191,6 +192,22 @@ class TestVerify:
                                    "--experimental")
         assert code == 0
         assert report["results"][0]["surjections_found"] == 0
+
+    def test_conjecture_mismatch_exits_1(self, capsys, monkeypatch):
+        # the conjecture case is proved, so a mismatch is an error as in
+        # every other case; (t + 1) is not a unit, so no lhs can match
+        real_rhs = theorems.rhs
+        t_plus_1 = RationalFunction.of(
+            LaurentPolynomial.make(prime_field(3), 0, (1, 1)))
+        monkeypatch.setattr(theorems, "rhs",
+                            lambda *args: real_rhs(*args) * t_plus_1)
+        code, report, _ = run_json(capsys, "verify", "--case", "conjecture",
+                                   "--p", "3", "--experimental",
+                                   "--knot", "8_18")
+        assert code == 1
+        [rec] = report["results"]
+        assert rec["surjections_found"] == 24
+        assert not any(rec["verdicts"])
 
     def test_json_roundtrip_normal_forms(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--case", "dihedral",

@@ -3,6 +3,7 @@ import pytest
 from conftest import bundled_pd_codes, dense_rep_phi, poly
 from talex.algebra import (
     INTEGERS,
+    CoefficientDomain,
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
@@ -15,20 +16,36 @@ from talex.algebra import (
 from talex.groups import (
     alternating4,
     cyclic,
+    d3_semidirect_c3,
     dicyclic,
     dihedral,
     direct_product,
     direct_sum_rep,
+    metacyclic,
     regular_representation,
     trivial_representation,
 )
-from talex.homsearch import Homomorphism, find_meridional_surjections
+from talex.homsearch import (
+    Homomorphism,
+    find_meridional_surjections,
+    regular_equivalence_classes,
+)
 from talex.knots import KnotPresentation, fox_derivative, wirtinger_from_pd
 from talex.twisted import (
     alexander_polynomial,
     evaluate_rep_phi,
+    invariants,
+    permutation_denominator,
     wada_invariant,
 )
+
+KNOTS = ("3_1", "4_1", "5_2", "6_1", "7_4", "8_18")
+
+
+def generator_minus_one(j: int):
+    """x_j - 1 in the group ring, whose evaluated determinant is the
+    oracle for the closed-form denominator."""
+    return {(j,): 1, (): -1}
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -301,29 +318,73 @@ class TestTwistedMod:
 
     def test_regular_denominators_never_vanish(self, trefoil):
         # det(t*P - I) is the product over the cycles of P of
-        # (-1)^(len+1) (t^len - 1), nonzero over every domain; checked on
-        # regular + trivial, whose reflections have cycles of length 2 and 1
+        # (-1)^(len+1) (t^len - 1), nonzero over every domain.  The closed
+        # form is checked against the determinant of the evaluated x - 1
+        # for every element as the image, on the regular representation
+        # and on regular + trivial (a fixed point beside the regular
+        # cycles), and wada_invariant must return it for both dropped
+        # generators of every surjection of the trefoil.
+        for g in (dihedral(3), alternating4(), dicyclic(3),
+                  direct_product(cyclic(2), cyclic(2)), cyclic(12)):
+            regular = regular_representation(g)
+            reps = (regular,
+                    direct_sum_rep(regular, trivial_representation(g)))
+            surjections = find_meridional_surjections(trefoil, g,
+                                                      up_to_conjugacy=True)
+            for domain in (INTEGERS, prime_field(2), prime_field(3)):
+                for rep in reps:
+                    for x in g.elements():
+                        oracle = determinant(evaluate_rep_phi(
+                            generator_minus_one(1), Homomorphism(g, (x,)),
+                            rep, domain))
+                        assert not oracle.is_zero
+                        assert permutation_denominator(
+                            rep.perms[x], domain) == oracle, (g.name, x)
+                for f in surjections:
+                    for j in range(1, trefoil.generators + 1):
+                        res = wada_invariant(trefoil, f, regular, domain,
+                                             dropped_generator=j)
+                        assert res.denominator == determinant(
+                            evaluate_rep_phi(generator_minus_one(j), f,
+                                             regular, domain))
+
+
+# (group, knot, modulus) whose surjections fall into fewer automorphism
+# classes than there are surjections up to conjugacy
+AUDIT_CASES = [
+    (alternating4(), "8_18", 2),
+    (dicyclic(5), "4_1", 5),
+    (metacyclic(3, 7, 2), "6_1", 7),
+    (d3_semidirect_c3(), "8_18", 3),
+] + [(cyclic(n), knot, None) for n in (7, 12) for knot in KNOTS]
+
+
+class TestInvariants:
+    @pytest.mark.parametrize(
+        "g,knot,p", AUDIT_CASES,
+        ids=[f"{g.name}-{k}-{p}" for g, k, p in AUDIT_CASES])
+    def test_members_share_class_result(self, table, g, knot, p):
+        # audit: evaluate every member of every class directly; the
+        # unreduced numerator and denominator and the dropped generator
+        # must equal the class result, not only up to a unit
+        pres = table[knot]
+        rep = regular_representation(g)
+        domain = CoefficientDomain(p)
+        homs = find_meridional_surjections(pres, g, up_to_conjugacy=True)
+        pairs = list(invariants(pres, homs, rep, domain))
+        assert [cls for cls, _ in pairs] == regular_equivalence_classes(homs)
+        assert len(pairs) < len(homs)
+        for cls, res in pairs:
+            for f in cls:
+                own = wada_invariant(pres, f, rep, domain)
+                assert own.numerator == res.numerator, f.images
+                assert own.denominator == res.denominator, f.images
+                assert own.dropped_generator == res.dropped_generator
+
+    def test_needs_regular_representation(self, trefoil):
         g = dihedral(3)
-        f = find_meridional_surjections(trefoil, g, up_to_conjugacy=True)[0]
         rep = direct_sum_rep(regular_representation(g),
                              trivial_representation(g))
-        for domain in (INTEGERS, prime_field(2), prime_field(3)):
-            for j in range(1, trefoil.generators + 1):
-                perm = rep.perms[f.images[j - 1]]
-                expected = LaurentPolynomial.one(domain)
-                seen = set()
-                for start in range(rep.dimension):
-                    length, x = 0, start
-                    while x not in seen:
-                        seen.add(x)
-                        x = perm[x]
-                        length += 1
-                    if length:
-                        cycle = poly([-1] + [0] * (length - 1) + [1],
-                                     domain=domain)
-                        expected = expected * cycle.scale(
-                            (-1) ** (length + 1))
-                res = wada_invariant(trefoil, f, rep, domain,
-                                     dropped_generator=j)
-                assert res.denominator == expected
-                assert not expected.is_zero
+        homs = find_meridional_surjections(trefoil, g)
+        with pytest.raises(ValueError, match="regular representation"):
+            list(invariants(trefoil, homs, rep))
