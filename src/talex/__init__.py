@@ -16,7 +16,6 @@ from .algebra import (
     product_over_roots_of_unity,
     rational_normalize,
     reduce_mod,
-    substitute_scale,
 )
 from .groups import FiniteGroup, MatrixRep, regular_representation
 from .homsearch import Homomorphism, find_meridional_surjections
@@ -29,7 +28,13 @@ from .knots import (
     simplify_presentation,
     wirtinger_from_pd,
 )
-from .theorems import TheoremCase, make_case, rhs, verify_congruence
+from .theorems import (
+    TheoremCase,
+    make_case,
+    rhs,
+    sweep_nonvanishing,
+    verify_congruence,
+)
 from .twisted import (
     TwistedAlexanderResult,
     alexander_polynomial,
@@ -64,7 +69,7 @@ __all__ = [
     "regular_representation",
     "rhs",
     "simplify_presentation",
-    "substitute_scale",
+    "sweep_nonvanishing",
     "verify_congruence",
     "wada_invariant",
     "wirtinger_from_pd",

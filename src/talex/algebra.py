@@ -291,22 +291,6 @@ def to_text(f: LaurentPolynomial) -> str:
     return out
 
 
-def substitute_scale(f: LaurentPolynomial, c: int) -> LaurentPolynomial:
-    """Return g with g(t) = f(c*t); c must be invertible in the domain."""
-    dom = f.domain
-    c = dom.reduce(c)
-    dom.inv(c)  # raises if c is not a unit
-    if f.is_zero:
-        return f
-    if dom.p is None:
-        # c is +-1 here, so c^k == c^|k| and Laurent tails are harmless
-        powers = [c ** abs(k) for k in range(f.min_exp, f.max_exp + 1)]
-    else:
-        powers = [pow(c, k, dom.p) for k in range(f.min_exp, f.max_exp + 1)]
-    return LaurentPolynomial.make(
-        dom, f.min_exp, (a * w for a, w in zip(f.coeffs, powers)))
-
-
 def reduce_mod(f: LaurentPolynomial, p: int) -> LaurentPolynomial:
     """Coefficientwise reduction ZZ[t^+-1] -> F_p[t^+-1]."""
     if f.domain.p is not None:
@@ -479,10 +463,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.numerator.is_zero
-
-    def substitute_scale(self, c: int) -> "RationalFunction":
-        return RationalFunction(substitute_scale(self.numerator, c),
-                                substitute_scale(self.denominator, c))
 
     def reduce_mod(self, p: int) -> "RationalFunction":
         den = reduce_mod(self.denominator, p)
@@ -815,29 +795,6 @@ def determinant(m: PolyMatrix) -> LaurentPolynomial:
         if dom.p is not None:
             coeffs = [c % dom.p for c in coeffs]
     return LaurentPolynomial.make(dom, shift, coeffs)
-
-
-def determinant_cofactor(m: PolyMatrix) -> LaurentPolynomial:
-    """Naive cofactor expansion; the independent small-matrix oracle."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    dom = m.domain
-    if n == 0:
-        return LaurentPolynomial.one(dom)
-    if n == 1:
-        return m.entry(0, 0)
-    total = LaurentPolynomial.zero(dom)
-    for j in range(n):
-        factor = m.entry(0, j)
-        if factor.is_zero:
-            continue
-        sub = PolyMatrix.from_rows(
-            [[m.entry(i, jj) for jj in range(n) if jj != j]
-             for i in range(1, n)])
-        term = factor * determinant_cofactor(sub)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def product_over_roots_of_unity(f: LaurentPolynomial, n: int

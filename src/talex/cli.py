@@ -6,7 +6,8 @@ Exit codes are a stable contract for CI use:
     0  success / everything verified (or vacuously true)
     1  congruence mismatch
     2  no surjection exists
-    3  bad input (unknown knot, malformed group spec, invalid parameters)
+    3  bad input (unknown knot, malformed group spec, invalid parameters,
+       a usage error such as an unknown option)
     4  search budget exceeded
 
 The knot table defaults to the bundled one; override with --table or the
@@ -67,6 +68,15 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input, not argparse's exit 2, which the exit
+    code contract reserves for "no surjection exists".  Subparsers are
+    built with the parent's class, so this covers every subcommand."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -323,14 +333,16 @@ def cmd_groups_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="talex",
         description="Twisted Alexander polynomials for regular "
                     "representations of finite groups")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=False, case=False):
+    # each command gets only the options it reads
+    def common(p, budget=False, conjugacy=False, mod=False, group=False,
+               case=False):
         p.add_argument("--knot", action="append",
                        help="knot name from the table (repeatable)")
         p.add_argument("--all-knots", action="store_true",
@@ -338,12 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--table", help="knot table path (default: bundled; "
                                        "TALEX_TABLE overrides)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="search node budget")
-        p.add_argument("--up-to-conjugacy", action="store_true",
-                       help="one representative per conjugation orbit")
-        p.add_argument("--mod", type=int, default=None,
-                       help="prime modulus for the computation")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="search node budget")
+        if conjugacy:
+            p.add_argument("--up-to-conjugacy", action="store_true",
+                           help="one representative per conjugation orbit")
+        if mod:
+            p.add_argument("--mod", type=int, default=None,
+                           help="prime modulus for the computation")
         if group:
             p.add_argument("--group", required=True,
                            help="group spec, e.g. C5, D9, Dic3, G(3,7|2), "
@@ -364,16 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute",
                                help="twisted invariants for each surjection")
-    common(p_compute, group=True)
+    common(p_compute, budget=True, conjugacy=True, mod=True, group=True)
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="check a congruence formula")
-    common(p_verify, case=True)
+    common(p_verify, budget=True, mod=True, case=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_surj = sub.add_parser("surjections",
                             help="list surjections onto a finite group")
-    common(p_surj, group=True)
+    common(p_surj, budget=True, conjugacy=True, group=True)
     p_surj.set_defaults(func=cmd_surjections)
 
     p_groups = sub.add_parser("groups", help="group catalog utilities")
@@ -386,9 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

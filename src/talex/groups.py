@@ -204,9 +204,6 @@ class FiniteGroup:
         members = {self.conjugate(g, by) for by in range(self.order)}
         return self.subgroup_generated(members)
 
-    def is_normally_generated_by(self, g: int) -> bool:
-        return len(self.normal_closure(g)) == self.order
-
     def is_normally_generated_by_one(self) -> int | None:
         """Smallest element whose conjugacy class generates the whole group,
         or None.  A knot group only surjects onto groups that have one."""
@@ -215,7 +212,7 @@ class FiniteGroup:
         for g in range(self.order):
             if g == self.identity:
                 continue
-            if self.is_normally_generated_by(g):
+            if len(self.normal_closure(g)) == self.order:
                 return g
         return None
 
@@ -495,13 +492,3 @@ def regular_representation(group: FiniteGroup) -> MatrixRep:
 
 def trivial_representation(group: FiniteGroup) -> MatrixRep:
     return MatrixRep(group, 1, ((0,),) * group.order)
-
-
-def direct_sum_rep(r1: MatrixRep, r2: MatrixRep) -> MatrixRep:
-    """Block-diagonal sum of two representations of the same group."""
-    if r1.group is not r2.group:
-        raise ValueError("direct sum requires a common group")
-    d1 = r1.dimension
-    perms = tuple(p1 + tuple(d1 + x for x in p2)
-                  for p1, p2 in zip(r1.perms, r2.perms))
-    return MatrixRep(r1.group, d1 + r2.dimension, perms)

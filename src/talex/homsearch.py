@@ -34,9 +34,6 @@ class Homomorphism:
     group: FiniteGroup
     images: tuple[int, ...]
 
-    def image_of_word(self, word) -> int:
-        return evaluate_word(self.group, self.images, word)
-
 
 def evaluate_word(group: FiniteGroup, images, word) -> int:
     acc = group.identity
@@ -47,16 +44,6 @@ def evaluate_word(group: FiniteGroup, images, word) -> int:
             g = group.inverses[g]
         acc = cayley[acc][g]
     return acc
-
-
-def image_subgroup(group: FiniteGroup, images) -> frozenset[int]:
-    return group.subgroup_generated(images)
-
-
-def satisfies_relators(pres: KnotPresentation, group: FiniteGroup,
-                       images) -> bool:
-    e = group.identity
-    return all(evaluate_word(group, images, r) == e for r in pres.relators)
 
 
 def _canonical_under_conjugation(group: FiniteGroup, images) -> tuple[int, ...]:
@@ -101,7 +88,7 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
         def assign(pos: int):
             nonlocal nodes
             if pos == m:
-                if len(image_subgroup(group, images)) == group.order:
+                if len(group.subgroup_generated(images)) == group.order:
                     found.append(tuple(images))
                 return
             for g in members:
@@ -135,31 +122,17 @@ def conjugacy_representatives(homs: list[Homomorphism]
     return reps
 
 
-def brute_force_surjections(pres: KnotPresentation, group: FiniteGroup
-                            ) -> list[Homomorphism]:
-    """Oracle: exhaustive enumeration over C^m for every conjugacy class C
-    whose members could host meridians; small groups only."""
-    m = pres.generators
-    out = []
-    for cls in group.conjugacy_classes():
-        members = sorted(cls.members)
-        stack = [()]
-        while stack:
-            partial = stack.pop()
-            if len(partial) == m:
-                if satisfies_relators(pres, group, partial) and \
-                        len(image_subgroup(group, partial)) == group.order:
-                    out.append(partial)
-                continue
-            for g in reversed(members):
-                stack.append(partial + (g,))
-    out.sort()
-    return [Homomorphism(group, images) for images in out]
-
-
 def extends_to_automorphism(group: FiniteGroup, src, dst) -> bool:
     """True iff the assignment src[i] -> dst[i] extends to an automorphism
-    of the whole group (src must generate)."""
+    of the whole group (src must generate).
+
+    The walk from e sets sigma(x s) = sigma(x) d for every reached x and
+    every pair (s, d), and fails on any conflict.  In a finite group every
+    element is a positive word in src, so with sigma(e) = e, induction on
+    the length of w gives sigma(x w) = sigma(x) sigma(w) once the walk
+    has reached all of G: sigma is a homomorphism, and a bijective one is
+    an automorphism.  No check of the law over all |G|^2 pairs is needed.
+    """
     e = group.identity
     sigma = {e: e}
     frontier = [e]
@@ -177,10 +150,7 @@ def extends_to_automorphism(group: FiniteGroup, src, dst) -> bool:
                 return False
     if len(sigma) != group.order:
         return False
-    if len(set(sigma.values())) != group.order:
-        return False
-    return all(sigma[group.mul(a, b)] == group.mul(sigma[a], sigma[b])
-               for a in range(group.order) for b in range(group.order))
+    return len(set(sigma.values())) == group.order
 
 
 def regular_equivalence_classes(homs: list[Homomorphism]

@@ -63,30 +63,6 @@ def abelian_exponent(word) -> int:
     return sum(1 if letter > 0 else -1 for letter in word)
 
 
-def ring_add(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    out = dict(a)
-    for w, c in b.items():
-        n = out.get(w, 0) + c
-        if n:
-            out[w] = n
-        else:
-            out.pop(w, None)
-    return out
-
-
-def ring_word_mul(u, e: GroupRingElement) -> GroupRingElement:
-    """Left multiplication of a group ring element by the word u."""
-    out: GroupRingElement = {}
-    for w, c in e.items():
-        key = free_reduce(tuple(u) + w)
-        n = out.get(key, 0) + c
-        if n:
-            out[key] = n
-        else:
-            out.pop(key, None)
-    return out
-
-
 def fox_derivative(word, j: int) -> GroupRingElement:
     """The free derivative d(word)/dx_j in the integral group ring.
 

@@ -1,5 +1,5 @@
-"""The congruence engine, the congruence checker, and the binomial and
-conjugating-matrix identities used in the paper's proofs.
+"""The congruence engine, the congruence checker, and the nonvanishing
+sweep over the order-< 24 catalog.
 
 Every supported case is one reduction.  Let f: pi_1(K) -> G be onto, G' the
 commutator subgroup, k = |G : G'|, and p a prime such that G' is a p-group
@@ -48,7 +48,6 @@ afterwards, so everything stays exact.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -363,229 +362,3 @@ def sweep_nonvanishing(table: dict[str, KnotPresentation],
                 progress(rec)
             out.append(rec)
     return out
-
-
-# -- binomial identities and conjugating matrices from the proofs ----------
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for any integer n (falling factorial over k!), k >= 0."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // math.factorial(k)
-
-
-def a_matrix(p: int, n: int) -> list[list[int]]:
-    """The q x q binomial matrix (i, j) -> C(i-1, j-1) mod p, q = p^n."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = p ** n
-    return [[binomial(i, j) % p for j in range(q)] for i in range(q)]
-
-
-def tau_a(p: int, n: int) -> list[list[int]]:
-    """Upper triangular with alternating 1, -1 bands: (i, j) -> (-1)^(j-i)
-    for i <= j, 0 below; all diagonal entries 1."""
-    _odd_prime(p, "tau(a)")
-    q = p ** n
-    return [[(1 if (j - i) % 2 == 0 else p - 1) if i <= j else 0
-             for j in range(q)] for i in range(q)]
-
-
-def tau_b(p: int, n: int) -> list[list[int]]:
-    """(i, j) -> (-1)^(j-1) C(j-1, i-1) mod p; upper triangular with
-    alternating +-1 diagonal."""
-    _odd_prime(p, "tau(b)")
-    q = p ** n
-    return [[(-1) ** j * binomial(j, i) % p for j in range(q)]
-            for i in range(q)]
-
-
-def dihedral_perm_a(q: int) -> list[list[int]]:
-    """The q-cycle permutation matrix of the rotation in the embedding
-    D_q -> S_q: ones on the subdiagonal and in the top-right corner."""
-    mat = [[0] * q for _ in range(q)]
-    mat[0][q - 1] = 1
-    for i in range(1, q):
-        mat[i][i - 1] = 1
-    return mat
-
-
-def dihedral_perm_b(q: int) -> list[list[int]]:
-    """The antidiagonal reflection matrix."""
-    mat = [[0] * q for _ in range(q)]
-    for i in range(q):
-        mat[i][q - 1 - i] = 1
-    return mat
-
-
-def metacyclic_perm_b(p: int, k: int) -> list[list[int]]:
-    """Permutation image of b for G(m, p | k) acting on C_p: the (i, j)
-    entry is 1 exactly when j = k*i - 1 mod p (1-based as in the proof)."""
-    mat = [[0] * p for _ in range(p)]
-    for i in range(1, p + 1):
-        j = (k * i - 2) % p + 1
-        mat[i - 1][j - 1] = 1
-    return mat
-
-
-def mat_mul_mod(a, b, p):
-    n, m, kk = len(a), len(b[0]), len(b)
-    return [[sum(a[i][x] * b[x][j] for x in range(kk)) % p
-             for j in range(m)] for i in range(n)]
-
-
-def mat_inv_mod(a, p):
-    """Gauss-Jordan inverse of a square matrix over F_p."""
-    n = len(a)
-    aug = [[x % p for x in row] + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise ArithmeticError("matrix is singular mod p")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def check_lucas(p: int, limit: int) -> bool:
-    """C(m, n) mod p equals the digit-wise product of base-p binomials,
-    for all 0 <= n <= m <= limit."""
-    for m in range(limit + 1):
-        for n in range(m + 1):
-            lhs = math.comb(m, n) % p
-            rhs_v, mm, nn = 1, m, n
-            while mm or nn:
-                rhs_v = rhs_v * math.comb(mm % p, nn % p) % p
-                mm //= p
-                nn //= p
-            if lhs != rhs_v:
-                return False
-    return True
-
-
-def check_pascal(limit: int) -> bool:
-    return all(math.comb(m, n) == math.comb(m - 1, n) + math.comb(m - 1, n - 1)
-               for m in range(1, limit + 1) for n in range(1, limit + 1))
-
-
-def check_vandermonde(limit: int) -> bool:
-    """C(m+n, r) = sum_k C(m, k) C(n, r-k) for all m, n <= limit and every
-    r: each Pascal row is packed into one big integer wide enough that row
-    convolution is integer multiplication, so the check is a product."""
-    width = 2 * limit + 8  # C(2*limit, limit) < 2^(2*limit)
-    packed = []
-    for m in range(2 * limit + 1):
-        v = 0
-        for k in range(m, -1, -1):
-            v = (v << width) + math.comb(m, k)
-        packed.append(v)
-    return all(packed[m] * packed[n] == packed[m + n]
-               for m in range(limit + 1) for n in range(limit + 1))
-
-
-def check_euler_finite_difference(n_limit: int, a_values=(1, 2, 3)) -> bool:
-    """The alternating binomial sum annihilates polynomials of degree
-    r < n and picks out (-1)^n n! a_n at degree n; checked on monomials
-    x^r and on the paper's special case f(k) = C(ak - 2, r)."""
-    kmax = n_limit
-    powers = [[k ** r for r in range(n_limit + 1)] for k in range(kmax + 1)]
-    shifted = {a: [[binomial(a * k - 2, r) for r in range(n_limit + 1)]
-                   for k in range(kmax + 1)] for a in a_values}
-    for n in range(n_limit + 1):
-        signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-        for r in range(n + 1):
-            s = sum(c * powers[k][r] for k, c in enumerate(signed))
-            expect = 0 if r < n else (-1) ** n * math.factorial(n)
-            if s != expect:
-                return False
-        for a in a_values:
-            tab = shifted[a]
-            for r in range(n + 1):
-                s = sum(c * tab[k][r] for k, c in enumerate(signed))
-                expect = 0 if r < n else (-1) ** n * a ** n
-                if s != expect:
-                    return False
-    return True
-
-
-def check_dihedral_lemma(p: int, n: int) -> bool:
-    """The three binomial claims behind the dihedral theorem, over their
-    full stated ranges for q = p^n."""
-    q = p ** n
-    for k in range(q):
-        if math.comb(q - 1, k) % p != (-1) ** k % p:
-            return False
-    for m in range(1, q + 1):
-        for j in range(1, q + 1):
-            s = sum((-1) ** (j - k) * math.comb(m, k - 1)
-                    for k in range(1, j + 1))
-            if s != binomial(m - 1, j - 1):
-                return False
-    for i in range(1, q + 1):
-        for j in range(1, q + 1):
-            lhs = (-1) ** (j - 1) * binomial(i + j - 2, j - 1) % p
-            if lhs != binomial(q - i, j - 1) % p:
-                return False
-    return True
-
-
-def check_metacyclic_lemma(p: int) -> bool:
-    """The three claims behind the metacyclic theorem: the convolution
-    identity, the explicit inverse of A_p, and the sign-flip symmetry."""
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            s = sum(binomial(i - 1, k - 1) * binomial(p - j, p - k)
-                    for k in range(j, i + 1))
-            if s != binomial((p - j) + (i - 1), p - 1):
-                return False
-    a = a_matrix(p, 1)
-    m = [[binomial(p - j, p - i) % p for j in range(1, p + 1)]
-         for i in range(1, p + 1)]
-    ident = [[1 if i == j else 0 for j in range(p)] for i in range(p)]
-    if mat_mul_mod(a, m, p) != ident or mat_mul_mod(m, a, p) != ident:
-        return False
-    for i in range(1, p + 1):
-        for s in range(1, p + 1):
-            if binomial(p - s, p - i) % p != \
-                    (-1) ** (i + s) * binomial(i - 1, s - 1) % p:
-                return False
-    return True
-
-
-def check_dihedral_conjugation(p: int, n: int) -> bool:
-    """A_{p,n}^-1 rho(a) A_{p,n} = tau(a) and likewise for b, exactly
-    mod p, with rho the permutation images from the proof."""
-    q = p ** n
-    a = a_matrix(p, n)
-    ainv = mat_inv_mod(a, p)
-    lhs_a = mat_mul_mod(mat_mul_mod(ainv, dihedral_perm_a(q), p), a, p)
-    lhs_b = mat_mul_mod(mat_mul_mod(ainv, dihedral_perm_b(q), p), a, p)
-    return lhs_a == tau_a(p, n) and lhs_b == tau_b(p, n)
-
-
-def check_metacyclic_triangularization(m: int, p: int, k: int) -> bool:
-    """A_p^-1 rho(b) A_p is upper triangular with diagonal
-    (1, k, k^2, ..., k^(p-1)) mod p."""
-    metacyclic(m, p, k)  # validate the parameters
-    a = a_matrix(p, 1)
-    ainv = mat_inv_mod(a, p)
-    t = mat_mul_mod(mat_mul_mod(ainv, metacyclic_perm_b(p, k), p), a, p)
-    for i in range(p):
-        for j in range(i):
-            if t[i][j] % p:
-                return False
-        if t[i][i] % p != pow(k, i, p):
-            return False
-    return True

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from talex.algebra import INTEGERS, LaurentPolynomial, PolyMatrix
+from talex.homsearch import evaluate_word
 from talex.knots import (
     PDCode,
     abelian_exponent,
@@ -46,7 +47,7 @@ def dense_rep_phi(element, f, rep, domain, scale=1):
     dim = rep.dimension
     cells = [[{} for _ in range(dim)] for _ in range(dim)]
     for word, c in element.items():
-        perm = rep.perms[f.image_of_word(word)]
+        perm = rep.perms[evaluate_word(f.group, f.images, word)]
         mat = [[int(perm[j] == i) for j in range(dim)] for i in range(dim)]
         e = abelian_exponent(word)
         if scale != 1:

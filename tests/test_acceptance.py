@@ -19,36 +19,9 @@ import time
 import pytest
 
 from conftest import dense_rep_phi, poly
-from talex.algebra import (
-    INTEGERS,
-    LaurentPolynomial,
-    PolyMatrix,
-    RationalFunction,
-    determinant,
-    determinant_cofactor,
-    equal_up_to_unit,
-    prime_field,
-    product_over_roots_of_unity,
-    rational_normalize,
-    substitute_scale,
-)
-from talex.groups import (
-    alternating4,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_sum_rep,
-    regular_representation,
-    trivial_representation,
-)
-from talex.homsearch import (
-    Homomorphism,
-    brute_force_surjections,
-    find_meridional_surjections,
-)
-from talex.knots import fox_derivative, free_reduce, ring_add
-from talex.theorems import (
+from paper_lemmas import (
     a_matrix,
+    brute_force_surjections,
     check_dihedral_conjugation,
     check_dihedral_lemma,
     check_euler_finite_difference,
@@ -56,12 +29,38 @@ from talex.theorems import (
     check_metacyclic_lemma,
     check_pascal,
     check_vandermonde,
-    make_case,
-    sweep_nonvanishing,
+    determinant_cofactor,
+    direct_sum_rep,
+    ring_add,
+    substitute_scale,
     tau_a,
     tau_b,
-    verify_congruence,
 )
+from talex.algebra import (
+    INTEGERS,
+    LaurentPolynomial,
+    PolyMatrix,
+    RationalFunction,
+    determinant,
+    equal_up_to_unit,
+    prime_field,
+    product_over_roots_of_unity,
+    rational_normalize,
+)
+from talex.groups import (
+    alternating4,
+    cyclic,
+    dicyclic,
+    dihedral,
+    regular_representation,
+    trivial_representation,
+)
+from talex.homsearch import (
+    Homomorphism,
+    find_meridional_surjections,
+)
+from talex.knots import fox_derivative, free_reduce
+from talex.theorems import make_case, sweep_nonvanishing, verify_congruence
 from talex.twisted import alexander_polynomial, wada_invariant
 
 GOLDEN_D9_XFAIL = pytest.mark.xfail(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly
+from paper_lemmas import determinant_cofactor, substitute_scale
 from talex.algebra import (
     INTEGERS,
     DomainMismatchError,
@@ -13,7 +14,6 @@ from talex.algebra import (
     PolyMatrix,
     RationalFunction,
     determinant,
-    determinant_cofactor,
     divexact,
     equal_up_to_unit,
     poly_gcd,
@@ -21,7 +21,6 @@ from talex.algebra import (
     product_over_roots_of_unity,
     rational_normalize,
     reduce_mod,
-    substitute_scale,
     to_text,
 )
 

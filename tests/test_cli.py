@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from talex import theorems
 from talex.algebra import (
     LaurentPolynomial,
@@ -324,3 +326,29 @@ class TestTableSources:
         code, _, err = run(capsys, "alexander", "--knot", "3_1",
                            "--table", "/nonexistent/table.json")
         assert code == 3 and "cannot load knot table" in err
+
+
+class TestUsageErrors:
+    # exit 2 means "no surjection exists", so argparse's own exit 2 for a
+    # usage error would be misread; usage errors are bad input
+    @pytest.mark.parametrize("argv", [
+        ("alexander", "--knot", "3_1", "--bogus"),
+        ("verify", "--case", "nosuch", "--knot", "3_1"),
+        ("compute", "--knot", "3_1"),
+        ("alexander", "--knot", "3_1", "--mod", "5"),
+        ("verify", "--case", "cyclic", "--n", "2", "--knot", "3_1",
+         "--up-to-conjugacy"),
+        ("surjections", "--group", "D3", "--knot", "3_1", "--mod", "3"),
+    ], ids=["unknown-flag", "invalid-case", "missing-group",
+            "alexander-mod", "verify-up-to-conjugacy", "surjections-mod"])
+    def test_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: talex")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out

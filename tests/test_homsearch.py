@@ -1,8 +1,17 @@
+import itertools
+import random
+
 import pytest
 
+from paper_lemmas import (
+    brute_force_surjections,
+    extends_to_automorphism_all_pairs,
+    satisfies_relators,
+)
 from talex.groups import (
     alternating4,
     cyclic,
+    d3_semidirect_c3,
     dicyclic,
     dihedral,
     direct_product,
@@ -11,13 +20,11 @@ from talex.groups import (
 from talex.homsearch import (
     BudgetExceededError,
     Homomorphism,
-    brute_force_surjections,
+    conjugacy_representatives,
     evaluate_word,
     extends_to_automorphism,
     find_meridional_surjections,
-    image_subgroup,
     regular_equivalence_classes,
-    satisfies_relators,
 )
 
 
@@ -39,15 +46,15 @@ class TestEvaluateWord:
 class TestImageSubgroup:
     def test_identity_only(self):
         g = dihedral(3)
-        assert image_subgroup(g, (g.identity,)) == {g.identity}
+        assert g.subgroup_generated((g.identity,)) == {g.identity}
 
     def test_generator_spans_cyclic(self):
         g = cyclic(6)
-        assert image_subgroup(g, (1,)) == set(range(6))
+        assert g.subgroup_generated((1,)) == set(range(6))
 
     def test_reflection_gives_order_two(self):
         g = dihedral(3)
-        assert len(image_subgroup(g, (g.label("b"),))) == 2
+        assert len(g.subgroup_generated((g.label("b"),))) == 2
 
 
 class TestSearch:
@@ -88,7 +95,7 @@ class TestSearch:
             for pres in table.values():
                 for h in find_meridional_surjections(pres, g):
                     assert satisfies_relators(pres, g, h.images)
-                    assert image_subgroup(g, h.images) == set(g.elements())
+                    assert g.subgroup_generated(h.images) == set(g.elements())
 
     def test_deterministic_order(self, trefoil):
         g = dicyclic(3)
@@ -139,6 +146,30 @@ class TestRegularEquivalence:
         # 1 -> 2 does not extend (2 has order 2)
         assert not extends_to_automorphism(g, (1,), (2,))
 
+    def test_matches_all_pairs_oracle(self, table):
+        # the walk's generator checks replace the |G|^2 homomorphism check
+        pairs = []
+        for name in ("3_1", "4_1", "8_18"):
+            for g in (dihedral(3), alternating4(), dicyclic(3),
+                      d3_semidirect_c3()):
+                homs = find_meridional_surjections(table[name], g)
+                pairs += [(g, src.images, dst.images)
+                          for src in conjugacy_representatives(homs)
+                          for dst in homs]
+        rng = random.Random(7)
+        for g in (cyclic(12), metacyclic(3, 7, 2)):
+            sources = [src for src in itertools.product(range(g.order),
+                                                        repeat=2)
+                       if len(g.subgroup_generated(src)) == g.order]
+            for _ in range(2000):
+                src = rng.choice(sources)
+                dst = tuple(rng.randrange(g.order) for _ in src)
+                pairs.append((g, src, dst))
+        outcomes = [extends_to_automorphism(*pair) for pair in pairs]
+        assert outcomes == [extends_to_automorphism_all_pairs(*pair)
+                            for pair in pairs]
+        assert True in outcomes and False in outcomes
+
     def test_cyclic_surjections_collapse(self, table):
         g = cyclic(23)
         surj = find_meridional_surjections(table["3_1"], g,
@@ -160,6 +191,6 @@ class TestHomomorphism:
     def test_image_of_word(self):
         g = dihedral(3)
         h = Homomorphism(g, (g.label("b"), g.label("b")))
-        assert h.image_of_word((1, 2)) == g.identity
-        assert h.image_of_word((1, -2)) == g.identity
-        assert h.image_of_word((1,)) == g.label("b")
+        assert evaluate_word(g, h.images, (1, 2)) == g.identity
+        assert evaluate_word(g, h.images, (1, -2)) == g.identity
+        assert evaluate_word(g, h.images, (1,)) == g.label("b")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly
+from paper_lemmas import ring_add, ring_word_mul
 from talex.algebra import (
     LaurentPolynomial,
     PolyMatrix,
@@ -22,8 +23,6 @@ from talex.knots import (
     free_reduce,
     invert_word,
     load_knot_table,
-    ring_add,
-    ring_word_mul,
     wirtinger_from_pd,
 )
 from talex.twisted import alexander_polynomial

@@ -1,6 +1,21 @@
 import pytest
 
 from conftest import poly
+from paper_lemmas import (
+    a_matrix,
+    binomial,
+    check_dihedral_conjugation,
+    check_dihedral_lemma,
+    check_euler_finite_difference,
+    check_lucas,
+    check_metacyclic_lemma,
+    check_metacyclic_triangularization,
+    check_pascal,
+    check_vandermonde,
+    substitute_scale,
+    tau_a,
+    tau_b,
+)
 from talex.algebra import (
     INTEGERS,
     LaurentPolynomial,
@@ -10,27 +25,14 @@ from talex.algebra import (
     product_over_roots_of_unity,
     rational_normalize,
     reduce_mod,
-    substitute_scale,
 )
 from talex.groups import alternating4, cyclic, dihedral, direct_product
 from talex.theorems import (
     TheoremCase,
-    a_matrix,
-    binomial,
     catalog_under_24,
-    check_dihedral_conjugation,
-    check_dihedral_lemma,
-    check_euler_finite_difference,
-    check_lucas,
-    check_metacyclic_lemma,
-    check_metacyclic_triangularization,
-    check_pascal,
-    check_vandermonde,
     group_for_case,
     make_case,
     rhs,
-    tau_a,
-    tau_b,
     verify_congruence,
 )
 from talex.twisted import alexander_polynomial
@@ -146,7 +148,9 @@ def paper_display(case: TheoremCase, delta) -> RationalFunction:
     if name == "dihedral_times_cyclic":
         q, m = params[0] ** params[1], params[2]
         orbit = _orbit(delta, m)
-        return (orbit * orbit.substitute_scale(-1)).reduce_mod(p) ** q
+        flipped = RationalFunction(substitute_scale(orbit.numerator, -1),
+                                   substitute_scale(orbit.denominator, -1))
+        return (orbit * flipped).reduce_mod(p) ** q
     if name == "dicyclic":
         return _quarter(delta, p) ** (params[0] ** params[1])
     if name == "a4":

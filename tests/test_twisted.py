@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import bundled_pd_codes, dense_rep_phi, poly
+from paper_lemmas import direct_sum_rep
 from talex.algebra import (
     INTEGERS,
     CoefficientDomain,
@@ -20,7 +21,6 @@ from talex.groups import (
     dicyclic,
     dihedral,
     direct_product,
-    direct_sum_rep,
     metacyclic,
     regular_representation,
     trivial_representation,
