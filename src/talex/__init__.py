@@ -17,7 +17,12 @@ from .algebra import (
     rational_normalize,
     reduce_mod,
 )
-from .groups import FiniteGroup, MatrixRep, regular_representation
+from .groups import (
+    FiniteGroup,
+    MatrixRep,
+    regular_representation,
+    trivial_group,
+)
 from .homsearch import Homomorphism, find_meridional_surjections
 from .knots import (
     KnotPresentation,
@@ -70,6 +75,7 @@ __all__ = [
     "rhs",
     "simplify_presentation",
     "sweep_nonvanishing",
+    "trivial_group",
     "verify_congruence",
     "wada_invariant",
     "wirtinger_from_pd",

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="search node budget")
+                           help="search node budget (at least 1)")
         if conjugacy:
             p.add_argument("--up-to-conjugacy", action="store_true",
                            help="one representative per conjugation orbit")
@@ -402,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "budget", 1) < 1:
+            parser.error(f"--budget must be at least 1, got {args.budget}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,8 @@ every order: rows and columns must be permutations, and associativity is
 checked exactly by Light's test, (x*g)*y = x*(g*y) for all x, y and every
 g in a generating set built greedily from the table, in O(n^2 |gens|).
 
-Every representation here (the regular one, the trivial one and their
-direct sums) is by permutation matrices, and is stored as column maps:
-perms[g][j] is the row of the single 1 in column j of the image of g.
+Representations are by permutation matrices and are stored as column
+maps: perms[g][j] is the row of the single 1 in column j of the image of g.
 The regular representation's column maps are the rows of the Cayley
 table, so it costs no storage beyond the group.
 
@@ -222,11 +221,6 @@ class FiniteGroup:
         return self.subgroup_generated(
             {c[c[c[g][h]][inv[g]]][inv[h]]
              for g in range(self.order) for h in range(self.order)})
-
-    def is_abelian(self) -> bool:
-        c = self.cayley
-        return all(c[a][b] == c[b][a]
-                   for a in range(self.order) for b in range(a))
 
     def to_json(self) -> dict:
         return {"order": self.order, "identity": self.identity,
@@ -488,7 +482,3 @@ def regular_representation(group: FiniteGroup) -> MatrixRep:
     rep = MatrixRep(group, group.order, group.cayley)
     rep.validate()
     return rep
-
-
-def trivial_representation(group: FiniteGroup) -> MatrixRep:
-    return MatrixRep(group, 1, ((0,),) * group.order)

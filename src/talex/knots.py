@@ -1,5 +1,5 @@
-"""Knot group presentations: free words, Fox derivatives, and Wirtinger
-presentations read off planar diagram (PD) codes.
+"""Knot group presentations: free words, Fox derivatives, the Alexander
+minor, and Wirtinger presentations read off planar diagram (PD) codes.
 
 Free words are tuples of nonzero ints: letter +j is the generator x_j,
 letter -j its inverse (j is 1-based).  Elements of the integral group ring
@@ -34,7 +34,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import LaurentPolynomial, PolyMatrix, determinant
+from .algebra import (
+    INTEGERS,
+    CoefficientDomain,
+    LaurentPolynomial,
+    PolyMatrix,
+    determinant,
+)
 
 FreeWord = tuple[int, ...]
 GroupRingElement = dict[FreeWord, int]
@@ -260,19 +266,37 @@ def simplify_presentation(pres: KnotPresentation) -> KnotPresentation:
         meridional=pres.meridional)
 
 
-def presentation_abelianized_at_1(pres: KnotPresentation) -> int:
-    """det of the Fox Jacobian minor with t = 1 and the last generator
-    dropped; equals the Alexander polynomial at 1, so +-1 for a knot."""
+def alexander_minor(pres: KnotPresentation,
+                    domain: CoefficientDomain = INTEGERS,
+                    dropped: int | None = None) -> LaurentPolynomial:
+    """The Alexander minor D(t): the determinant of the Fox Jacobian
+    abelianized by x_i -> t, with the column of x_dropped removed (x_m
+    unless dropped names another generator), over the given domain.
+
+    The presentation must be meridional and of deficiency one; with no
+    relators (the one-generator unknot) D is 1.  D(t) equals Delta_K(t) up
+    to a unit for every choice of column, and D(1) = +-1 for a knot.
+    """
     m = pres.generators
+    dropped = m if dropped is None else dropped
+    if not pres.meridional or len(pres.relators) != m - 1 \
+            or not 1 <= dropped <= m:
+        raise ValueError("the Alexander minor needs a meridional "
+                         "deficiency-one presentation and a generator to drop")
+    if not pres.relators:
+        return LaurentPolynomial.one(domain)
     rows = []
     for r in pres.relators:
-        counts = [0] * m
-        for letter in r:
-            counts[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append([LaurentPolynomial.constant(c) for c in counts[:m - 1]])
-    if not rows:
-        return 1
-    return determinant(PolyMatrix.from_rows(rows)).coefficient(0)
+        row = []
+        for j in range(1, m + 1):
+            if j != dropped:
+                cell: dict[int, int] = {}
+                for word, c in fox_derivative(r, j).items():
+                    e = abelian_exponent(word)
+                    cell[e] = cell.get(e, 0) + c
+                row.append(LaurentPolynomial.from_coeff_map(domain, cell))
+        rows.append(row)
+    return determinant(PolyMatrix.from_rows(rows))
 
 
 class KnotTableError(ValueError):
@@ -285,11 +309,13 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
 
     The file is JSON: {"knots": [entry, ...]} where each entry is either
     {"name": ..., "pd": [[a,b,c,d], ...]} or a direct presentation
-    {"name": ..., "generators": m, "relators": [[letters], ...]}.  Every
-    entry must pass the Alexander-polynomial-at-1 check as written; the
-    table then holds simplify_presentation of it, whose generators are a
-    subset of the entry's original generators (for PD entries, of its
-    Wirtinger arcs), renumbered 1..m'.
+    {"name": ..., "generators": m, "relators": [[letters], ...]}.  The
+    table holds simplify_presentation of each entry, whose generators are
+    a subset of the entry's original generators (for PD entries, of its
+    Wirtinger arcs), renumbered 1..m'.  The simplified form must pass the
+    knot check |Delta(1)| = 1, read off its Alexander minor; Delta(1) is a
+    Tietze invariant up to sign, so this is the check on the entry as
+    written, at the size of the simplified one.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -322,7 +348,8 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
                     f"entry {name}: expected deficiency one "
                     f"({pres.generators} generators, "
                     f"{len(pres.relators)} relators)")
-            if abs(presentation_abelianized_at_1(pres)) != 1:
+            pres = simplify_presentation(pres)
+            if abs(sum(alexander_minor(pres).coeffs)) != 1:
                 raise KnotTableError(
                     f"entry {name}: Alexander polynomial at 1 is not a unit; "
                     "not a valid knot presentation")
@@ -330,7 +357,7 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
             if isinstance(exc, KnotTableError):
                 raise
             raise KnotTableError(f"entry {name or pos}: {exc}") from exc
-        table[name] = simplify_presentation(pres)
+        table[name] = pres
     return table
 
 

@@ -27,12 +27,17 @@ member per automorphism class.
 Block rows are ordered by (relator, representation row) and block columns
 by (kept generator ascending, representation column).
 
-When the target group is abelian, all blocks lie in one commutative
-matrix algebra, so the big determinant equals det(Phi(D)) where D is the
-determinant of the small (m-1) x (m-1) matrix of group-algebra symbols
-and Phi blows a symbol up to its matrix.  This cuts the expensive
-elimination from size (m-1)*|G| down to |G| and is bit-identical to the
-generic route.
+When every generator maps to one element g, as for every surjection onto
+an abelian group (meridians are conjugate), each Fox block is a Laurent
+polynomial in the one matrix t*rho(g): a term c*w of the derivative
+becomes c*(t*rho(g))^k with k the exponent sum of w.  So the block matrix
+is D(t*rho(g)) for the (m-1) x (m-1) matrix D(t) of abelianized Fox
+derivatives, and its blocks commute.  For commuting blocks the block
+determinant is det(d(t*rho(g))), where d = det D is the Alexander minor
+of knots.alexander_minor (Kovacs, Silver and Williams, Amer. Math. Monthly
+106, 1999).  The identity holds over any commutative coefficient ring, so
+it is exact over the integers and every F_p and gives the generic route's
+numerator bit for bit; the elimination shrinks from (m-1)*dim rows to dim.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .algebra import (
     determinant,
     rational_normalize,
 )
-from .groups import MatrixRep, trivial_group, trivial_representation
+from .groups import MatrixRep
 from .homsearch import (
     Homomorphism,
     evaluate_word,
@@ -58,6 +63,7 @@ from .knots import (
     GroupRingElement,
     KnotPresentation,
     abelian_exponent,
+    alexander_minor,
     fox_derivative,
 )
 
@@ -124,87 +130,6 @@ def permutation_denominator(perm, domain: CoefficientDomain
     return out
 
 
-def _abelian_fast_path(pres, f, rep, domain, kept):
-    """Numerator determinant via group-algebra symbols.
-
-    Representations of an abelian group have pairwise commuting images, so
-    all Fox blocks live in one commutative matrix algebra; the block
-    determinant then equals the image of the symbol determinant computed
-    in the group algebra itself.  The expensive elimination shrinks from
-    size (m-1)*dim to dim.
-    """
-    from itertools import combinations
-
-    group = f.group
-    m1 = len(kept)
-    zero = LaurentPolynomial.zero(domain)
-
-    def symbol(element: GroupRingElement) -> dict[int, LaurentPolynomial]:
-        acc: dict[int, dict[int, int]] = {}
-        for word, c in element.items():
-            g = evaluate_word(group, f.images, word)
-            e = abelian_exponent(word)
-            cell = acc.setdefault(g, {})
-            cell[e] = cell.get(e, 0) + c
-        out = {}
-        for g, cell in acc.items():
-            poly = LaurentPolynomial.from_coeff_map(domain, cell)
-            if not poly.is_zero:
-                out[g] = poly
-        return out
-
-    blocks = [[symbol(fox_derivative(r, j)) for j in kept]
-              for r in pres.relators]
-
-    def sym_mul(a, b):
-        out: dict[int, LaurentPolynomial] = {}
-        for g, pg in a.items():
-            for h, ph in b.items():
-                k = group.mul(g, h)
-                prod = pg * ph
-                out[k] = out[k] + prod if k in out else prod
-        return {k: v for k, v in out.items() if not v.is_zero}
-
-    def sym_addsub(a, b, negate):
-        out = dict(a)
-        for g, p in b.items():
-            q = out.get(g, zero) + (-p if negate else p)
-            if q.is_zero:
-                out.pop(g, None)
-            else:
-                out[g] = q
-        return out
-
-    # division-free cofactor DP: minors[S] is the determinant of the
-    # submatrix on rows 0..|S|-1 and column set S
-    minors: dict[int, dict[int, LaurentPolynomial]] = {
-        0: {group.identity: LaurentPolynomial.one(domain)}}
-    for size in range(1, m1 + 1):
-        level: dict[int, dict[int, LaurentPolynomial]] = {}
-        for cols in combinations(range(m1), size):
-            subset = 0
-            for c in cols:
-                subset |= 1 << c
-            acc: dict[int, LaurentPolynomial] = {}
-            for pos, c in enumerate(cols):
-                entry = blocks[size - 1][c]
-                if not entry:
-                    continue
-                term = sym_mul(entry, minors[subset & ~(1 << c)])
-                acc = sym_addsub(acc, term, (size - 1 + pos) % 2 == 1)
-            level[subset] = acc
-        minors = level
-    d = minors[(1 << m1) - 1]
-
-    # apply the representation to the symbol determinant
-    dim = rep.dimension
-    rows = [[zero] * dim for _ in range(dim)]
-    for g, poly in d.items():
-        for j, i in enumerate(rep.perms[g]):
-            rows[i][j] = rows[i][j] + poly
-    return determinant(PolyMatrix.from_rows(rows))
-
-
 def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
                    domain: CoefficientDomain = INTEGERS,
                    dropped_generator: int | None = None
@@ -218,7 +143,10 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     generator, which changes the result only by a unit.  The denominator
     det(t*rho(f(x_j)) - I) is +-prod over the cycles of rho(f(x_j)) of
     (t^len - 1), computed in that form; it is nonzero over every domain,
-    so any choice is valid.
+    so any choice is valid.  When f sends every generator to one element
+    g, the numerator is det(d(t*rho(g))) for the Alexander minor d (see
+    the module docstring); otherwise it is the determinant of the block
+    matrix.
     """
     m = pres.generators
     if len(pres.relators) != m - 1:
@@ -232,25 +160,19 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
         raise ValueError(f"dropped generator {dropped} out of range")
     den = permutation_denominator(rep.perms[f.images[dropped - 1]], domain)
 
-    kept = [j for j in range(1, m + 1) if j != dropped]
-    if m == 1:
-        num = LaurentPolynomial.one(domain)
-    elif m >= 3 and rep.dimension >= 2 and f.group.is_abelian():
-        num = _abelian_fast_path(pres, f, rep, domain, kept)
+    if len(set(f.images)) == 1:
+        d = alexander_minor(pres, domain, dropped)
+        power = {(1,) * k if k >= 0 else (-1,) * -k: c
+                 for k, c in enumerate(d.coeffs, d.min_exp) if c}
+        num = determinant(evaluate_rep_phi(power, f, rep, domain))
     else:
         dim = rep.dimension
+        kept = [j for j in range(1, m + 1) if j != dropped]
         blocks = [[evaluate_rep_phi(fox_derivative(r, j), f, rep, domain)
                    for j in kept] for r in pres.relators]
-        size = (m - 1) * dim
-        rows = []
-        for bi in range(m - 1):
-            for i in range(dim):
-                row = []
-                for bj in range(m - 1):
-                    block = blocks[bi][bj]
-                    row.extend(block.entry(i, jj) for jj in range(dim))
-                rows.append(row)
-        assert len(rows) == size
+        rows = [[block.entry(i, jj) for block in block_row
+                 for jj in range(dim)]
+                for block_row in blocks for i in range(dim)]
         num = determinant(PolyMatrix.from_rows(rows))
 
     normalized = rational_normalize(RationalFunction(num, den))
@@ -273,17 +195,8 @@ def invariants(pres: KnotPresentation, homs: list[Homomorphism],
 
 
 def alexander_polynomial(pres: KnotPresentation) -> LaurentPolynomial:
-    """The classical Alexander polynomial: (t - 1) times the invariant of
-    the one-dimensional trivial representation, normalized to min_exp 0
-    with positive lowest coefficient."""
-    g = trivial_group()
-    f = Homomorphism(g, tuple(g.identity for _ in range(pres.generators)))
-    res = wada_invariant(pres, f, trivial_representation(g), INTEGERS)
-    t_minus_1 = LaurentPolynomial.make(INTEGERS, 0, (-1, 1))
-    val = rational_normalize(RationalFunction(
-        res.numerator * t_minus_1, res.denominator))
-    if val.denominator != LaurentPolynomial.one(INTEGERS):
-        raise ArithmeticError(
-            "Alexander polynomial did not come out polynomial; "
-            "is this a knot presentation?")
-    return val.numerator
+    """The classical Alexander polynomial: the Alexander minor over the
+    integers (knots.alexander_minor), normalized to min_exp 0 with
+    positive lowest coefficient."""
+    return rational_normalize(
+        RationalFunction.of(alexander_minor(pres))).numerator

@@ -95,6 +95,10 @@ def ring_word_mul(u, e: GroupRingElement) -> GroupRingElement:
 # -- representations and surjections -------------------------------------
 
 
+def trivial_representation(group: FiniteGroup) -> MatrixRep:
+    return MatrixRep(group, 1, ((0,),) * group.order)
+
+
 def direct_sum_rep(r1: MatrixRep, r2: MatrixRep) -> MatrixRep:
     """Block-diagonal sum of two representations of the same group."""
     if r1.group is not r2.group:

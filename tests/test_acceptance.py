@@ -35,6 +35,7 @@ from paper_lemmas import (
     substitute_scale,
     tau_a,
     tau_b,
+    trivial_representation,
 )
 from talex.algebra import (
     INTEGERS,
@@ -53,7 +54,6 @@ from talex.groups import (
     dicyclic,
     dihedral,
     regular_representation,
-    trivial_representation,
 )
 from talex.homsearch import (
     Homomorphism,

@@ -346,6 +346,19 @@ class TestUsageErrors:
         assert code == 3 and out == ""
         assert err.startswith("error: talex")
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--knot", "3_1", "--group", "D3"),
+        ("verify", "--case", "cyclic", "--n", "2", "--knot", "3_1"),
+        ("surjections", "--knot", "3_1", "--group", "D3"),
+    ], ids=["compute", "verify", "surjections"])
+    def test_budget_below_one_exits_3(self, capsys, argv, budget):
+        # a budget of no nodes is an invalid parameter, not a search that
+        # ran out of budget (exit 4)
+        code, out, err = run(capsys, *argv, "--budget", budget)
+        assert code == 3 and out == ""
+        assert err.startswith("error: talex") and "--budget" in err
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:

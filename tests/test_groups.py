@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from paper_lemmas import direct_sum_rep
+from paper_lemmas import direct_sum_rep, trivial_representation
 from talex.algebra import LaurentPolynomial, PolyMatrix, determinant
 from talex.groups import (
     FiniteGroup,
@@ -18,7 +18,6 @@ from talex.groups import (
     group_from_cayley_json,
     metacyclic,
     regular_representation,
-    trivial_representation,
 )
 from talex.theorems import catalog_under_24
 

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly
+from conftest import bundled_pd_codes, poly
 from paper_lemmas import ring_add, ring_word_mul
 from talex.algebra import (
+    INTEGERS,
     LaurentPolynomial,
     PolyMatrix,
     determinant,
     equal_up_to_unit,
+    prime_field,
     RationalFunction,
+    reduce_mod,
 )
 from talex.knots import (
     KnotPresentation,
@@ -19,6 +22,7 @@ from talex.knots import (
     PDCode,
     PDValidationError,
     abelian_exponent,
+    alexander_minor,
     fox_derivative,
     free_reduce,
     invert_word,
@@ -223,6 +227,48 @@ class TestPresentations:
     def test_letter_range_checked(self):
         with pytest.raises(ValueError, match="out of range"):
             KnotPresentation(2, ((1, 3, -1, -3),))
+
+
+class TestAlexanderMinor:
+    @pytest.mark.parametrize("name,simplified", [
+        pytest.param(name, True, id=name)
+        for name in ("3_1", "4_1", "5_2", "6_1", "7_4", "8_18")
+    ] + [pytest.param(name, False, id=f"{name}-wirtinger")
+         for name in sorted(bundled_pd_codes())])
+    def test_reduction_and_dropped_column(self, table, name, simplified):
+        # the F_p minor is the reduction of the integer one, and every
+        # dropped column gives the same minor up to a unit; on the
+        # simplified table entries and on the raw Wirtinger presentations
+        pres = table[name] if simplified else \
+            wirtinger_from_pd(bundled_pd_codes()[name])
+        drops = range(1, pres.generators + 1)
+        exact = [alexander_minor(pres, dropped=j) for j in drops]
+        assert abs(sum(exact[0].coeffs)) == 1
+        for p in (None, 2, 3, 5, 7):
+            if p is None:
+                minors = exact
+            else:
+                minors = [alexander_minor(pres, prime_field(p), j)
+                          for j in drops]
+                assert minors == [reduce_mod(d, p) for d in exact], p
+            for d in minors[1:]:
+                assert equal_up_to_unit(RationalFunction.of(minors[0]),
+                                        RationalFunction.of(d)), (p, d)
+
+    def test_no_relators(self):
+        unknot = KnotPresentation(1, ())
+        assert alexander_minor(unknot) == LaurentPolynomial.one()
+        assert alexander_minor(unknot, prime_field(3)) == \
+            LaurentPolynomial.one(prime_field(3))
+
+    @pytest.mark.parametrize("pres,dropped", [
+        (KnotPresentation(3, ((1, -2),)), None),
+        (KnotPresentation(2, ((1, 1, -2, -2),), meridional=False), None),
+        (KnotPresentation(2, ((1, 2, 1, -2, -1, -2),)), 3),
+    ], ids=["deficiency", "not-meridional", "dropped-range"])
+    def test_rejects(self, pres, dropped):
+        with pytest.raises(ValueError, match="Alexander minor"):
+            alexander_minor(pres, INTEGERS, dropped)
 
 
 class TestKnotTable:

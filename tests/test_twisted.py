@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import bundled_pd_codes, dense_rep_phi, poly
-from paper_lemmas import direct_sum_rep
+from paper_lemmas import direct_sum_rep, trivial_representation
 from talex.algebra import (
     INTEGERS,
     CoefficientDomain,
@@ -23,7 +23,6 @@ from talex.groups import (
     direct_product,
     metacyclic,
     regular_representation,
-    trivial_representation,
 )
 from talex.homsearch import (
     Homomorphism,
@@ -192,30 +191,49 @@ class TestWadaInvariant:
         with pytest.raises(ValueError, match="deficiency"):
             wada_invariant(pres, f, regular_representation(g))
 
-    def test_abelian_fast_path_matches_generic_assembly(self):
-        # same numerator through the straightforward block-matrix route,
-        # on the unsimplified presentations where the fast path runs
-        pd = bundled_pd_codes()
-        for name, n in (("4_1", 6), ("5_2", 4)):
-            pres = wirtinger_from_pd(pd[name])
-            g = cyclic(n)
-            rep = regular_representation(g)
-            f = find_meridional_surjections(pres, g,
-                                            up_to_conjugacy=True)[0]
-            res = wada_invariant(pres, f, rep)
-            m = pres.generators
-            kept = list(range(1, m))
+    def test_equal_image_route_matches_generic_assembly(self, table):
+        # every homomorphism below sends all generators to one element, so
+        # wada_invariant evaluates the Alexander minor at t*rho(g); the
+        # oracle assembles and eliminates the full block matrix instead
+        def block_numerator(pres, f, rep, domain, dropped):
+            m, dim = pres.generators, rep.dimension
             rows = []
             for r in pres.relators:
                 blocks = [evaluate_rep_phi(fox_derivative(r, j), f, rep,
-                                           INTEGERS) for j in kept]
-                for i in range(n):
-                    row = []
-                    for b in blocks:
-                        row.extend(b.entry(i, jj) for jj in range(n))
-                    rows.append(row)
-            direct = determinant(PolyMatrix.from_rows(rows))
-            assert direct == res.numerator
+                                           domain)
+                          for j in range(1, m + 1) if j != dropped]
+                for i in range(dim):
+                    rows.append([b.entry(i, jj) for b in blocks
+                                 for jj in range(dim)])
+            if not rows:
+                return LaurentPolynomial.one(domain)
+            return determinant(PolyMatrix.from_rows(rows))
+
+        def check(pres, f, domain=INTEGERS):
+            rep = regular_representation(f.group)
+            for dropped in range(1, pres.generators + 1):
+                res = wada_invariant(pres, f, rep, domain,
+                                     dropped_generator=dropped)
+                assert res.numerator == block_numerator(
+                    pres, f, rep, domain, dropped), (f, domain, dropped)
+
+        pd = bundled_pd_codes()
+        for name, n in (("4_1", 6), ("5_2", 4)):
+            pres = wirtinger_from_pd(pd[name])
+            check(pres, find_meridional_surjections(
+                pres, cyclic(n), up_to_conjugacy=True)[0])
+        knot = table["8_18"]
+        for n in range(2, 8):
+            for domain in (INTEGERS, prime_field(5)):
+                check(knot, Homomorphism(cyclic(n), (1,) * 3), domain)
+        # not surjective, into groups that are not abelian
+        for g in (dihedral(3), alternating4()):
+            for x in range(g.order):
+                for pres in (table["3_1"], knot):
+                    check(pres, Homomorphism(g, (x,) * pres.generators))
+        for domain in (INTEGERS, prime_field(5)):
+            check(KnotPresentation(1, ()), Homomorphism(dihedral(3), (3,)),
+                  domain)
 
     def test_dropped_generator_independence(self, table):
         for name, group in (("3_1", dihedral(3)), ("4_1", cyclic(5)),
