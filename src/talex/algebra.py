@@ -15,9 +15,11 @@ loop runs on CPython's arbitrary-precision ints rather than Python lists:
 * over the integers, intermediate entries are minors of the input matrix,
   so a fixed slot width derived from row 1-norms is provably large enough
   and the whole elimination never needs to unpack;
-* over F_p, entries are renormalised mod p after every update (vectorised
-  with numpy) and the exact divisions are done by multiplying with a
-  precomputed Newton inverse of the reversed pivot.
+* over F_p, each row update forms only the products that can be nonzero,
+  reduces the row mod p in one numpy pass and divides it by the previous
+  pivot t^v*g bottom up: the v low slots must be zero, and the rest is
+  multiplied by the Newton inverse of g mod a power of t.  The route
+  condition in determinant keeps every slot digit below 2^30: no carries.
 """
 
 from __future__ import annotations
@@ -642,85 +644,90 @@ def _det_packed_integer(rows: list[list[list[int]]], n: int) -> list[int]:
 
 
 class _PackedFp:
-    """Packed arithmetic helpers for F_p[t] with 32-bit slots."""
+    """F_p[t] packed in 32-bit slots and reduced mod p a row at a time."""
 
     WIDTH = 32
 
     def __init__(self, p: int):
         self.p = p
-        self._offsets: dict[int, int] = {0: 0}
 
-    def offset(self, nslots: int) -> int:
-        """Packed value with 2^(WIDTH-1) in each of the first nslots slots;
-        adding it makes every balanced digit nonnegative without carries."""
-        while nslots not in self._offsets:
-            i = len(self._offsets)
-            self._offsets[i] = self._offsets[i - 1] + (
-                1 << (self.WIDTH - 1 + self.WIDTH * (i - 1)))
-        return self._offsets[nslots]
+    def reduce(self, values: list[int]) -> np.ndarray:
+        """Slot digits mod p of packed values whose balanced digits are
+        below 2^(WIDTH-2) in magnitude, one row per value, in one pass."""
+        w, p = self.WIDTH, self.p
+        nslots = max((v.bit_length() for v in values), default=0) // w + 2
+        # 2^(w-1) in every slot makes each digit nonnegative without
+        # carries; adding p - 2^(w-1) mod p then stays inside uint32
+        off = int.from_bytes(b"\0\0\0\x80" * nslots, "little")
+        raw = b"".join((v + off).to_bytes(4 * nslots, "little")
+                       for v in values)
+        arr = np.frombuffer(raw, dtype="<u4") + (p - (1 << (w - 1)) % p)
+        arr %= p
+        return arr.reshape(len(values), nslots)
 
-    def normalize(self, v: int) -> int:
-        """Reduce the slot digits of a (possibly negative) packed value
-        mod p, returning a packed value with digits in 0..p-1."""
-        if v == 0:
-            return 0
+    @staticmethod
+    def ints(digits: np.ndarray) -> list[int]:
+        """The packed values whose slot digits are the rows of digits."""
+        raw = memoryview(digits.tobytes())
+        step = 4 * digits.shape[1]
+        return [int.from_bytes(raw[i * step:(i + 1) * step], "little")
+                for i in range(len(digits))]
+
+    def divisor(self, d: int, precision: int) -> tuple[int, int, int, int]:
+        """(v, deg g, inverse of g mod t^precision, precision) for a
+        reduced nonzero d = t^v * g with g(0) != 0; the inverse comes from
+        Newton's iteration x <- x * (2 - g x), doubling its length."""
         w = self.WIDTH
-        nslots = (abs(v).bit_length() + w) // w + 1
-        y = v + self.offset(nslots)
-        raw = y.to_bytes(4 * nslots, "little")
-        arr = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-        arr -= 1 << (w - 1)
-        arr %= self.p
-        return int.from_bytes(arr.astype("<u4").tobytes(), "little")
-
-    def degree(self, v: int) -> int:
-        """Degree of a normalized nonzero packed polynomial."""
-        return (v.bit_length() - 1) // self.WIDTH
-
-    def reverse(self, v: int, deg: int) -> int:
-        nslots = deg + 1
-        raw = v.to_bytes(4 * nslots, "little")
-        arr = np.frombuffer(raw, dtype="<u4")[::-1]
-        return int.from_bytes(arr.tobytes(), "little")
-
-    def newton_inverse(self, g: int, precision: int) -> int:
-        """Inverse of g mod t^precision; g normalized with g(0) != 0."""
-        w = self.WIDTH
-        p = self.p
-        x = pow(g & ((1 << w) - 1), -1, p)
+        v = ((d & -d).bit_length() - 1) // w
+        g = d >> (w * v)
+        x = pow(g & ((1 << w) - 1), -1, self.p)
         klen = 1
         while klen < precision:
             klen = min(2 * klen, precision)
             mask = (1 << (w * klen)) - 1
-            gx = self.normalize((g & mask) * x) & mask
-            # x <- x * (2 - g x) mod t^klen
-            x = self.normalize(2 * x + (-x) * gx) & mask
-        return x & ((1 << (w * precision)) - 1)
+            gx = self.ints(self.reduce([(g & mask) * x]))[0] & mask
+            x = self.ints(self.reduce([2 * x - x * gx]))[0] & mask
+        return v, (g.bit_length() - 1) // w, x, precision
 
-    def divexact(self, f: int, g_deg: int, inv_rev_g: int) -> int:
-        """f / g for normalized packed f with g | f in F_p[t]; the divisor
-        enters through its degree and the Newton inverse of its reversal."""
-        if f == 0:
-            return 0
-        f_deg = self.degree(f)
-        q_deg = f_deg - g_deg
-        if q_deg < 0:
+    def divexact(self, digits: np.ndarray,
+                 divisor: tuple[int, int, int, int]) -> list[int]:
+        """Each row of reduced digits divided by t^v * g, bottom up: drop
+        the v low slots, which must be zero, and multiply by the inverse of
+        g cut to the quotient length.  A digit of that product sums at most
+        precision terms below p^2, so it stays in its slot: the mask is
+        exact."""
+        v, g_deg, inv, precision = divisor
+        if digits[:, :v].any():
             raise ArithmeticError("inexact packed division")
-        rev_f = self.reverse(f, f_deg)
-        mask = (1 << (self.WIDTH * (q_deg + 1))) - 1
-        rev_q = self.normalize((rev_f & mask) * (inv_rev_g & mask)) & mask
-        return self.reverse(rev_q, q_deg)
+        fs = self.ints(digits[:, v:])
+        bits = [f.bit_length() for f in fs if f]
+        if not bits:
+            return fs
+        w = self.WIDTH
+        qlen = (max(bits) - 1) // w + 1 - g_deg
+        if (min(bits) - 1) // w < g_deg or qlen > precision:
+            raise ArithmeticError("inexact packed division")
+        mask = (1 << (w * qlen)) - 1
+        inv &= mask
+        return self.ints(self.reduce([(f & mask) * inv & mask for f in fs]))
 
 
 def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
-    """Fraction-free Bareiss natively over F_p[t] on packed polynomials."""
-    max_deg = max((len(e) - 1 for row in rows for e in row if e), default=0)
+    """Fraction-free Bareiss natively over F_p[t] on packed polynomials.
+
+    A row update forms a_ij*piv - a_ik*a_kj where row i, or row k when
+    a_ik != 0, is nonzero, reduces those values mod p in one numpy pass and
+    divides them by the previous pivot bottom up (_PackedFp.divexact).  The
+    entries after step k are (k+2)-minors of at most (k+2)*(max_len-1)+1
+    slots, so raw digits stay below n*max_len*(p-1)^2 and quotient digits
+    below (n*max_len+2)*(p-1)^2: both under 2^30 by determinant's route
+    condition."""
+    max_len = max((len(e) for row in rows for e in row), default=1)
     helper = _PackedFp(p)
     width = helper.WIDTH
-    a = [[helper.normalize(_pack(e, width)) for e in row] for row in rows]
+    a = [[_pack(e, width) for e in row] for row in rows]
     sign = 1
-    prev_deg = 0
-    inv_rev_prev = 1
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -730,29 +737,22 @@ def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
                     break
             else:
                 return []
-        piv = a[k][k]
-        normalize = helper.normalize
-        dive = helper.divexact
-        first = k == 0
+        row_k, piv = a[k], a[k][k]
+        if prev != 1:
+            divisor = helper.divisor(prev, (k + 2) * (max_len - 1) + 1)
         for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                x = row_i[j] * piv - aik * row_k[j]
-                if x == 0:
-                    row_i[j] = 0
-                elif first:
-                    row_i[j] = normalize(x)
-                else:
-                    row_i[j] = dive(normalize(x), prev_deg, inv_rev_prev)
-            row_i[k] = 0
-        prev_deg = helper.degree(piv)
-        if k < n - 2:
-            rev_prev = helper.reverse(piv, prev_deg)
-            inv_rev_prev = helper.newton_inverse(
-                rev_prev, n * max(max_deg, 1) + 2)
-    det = a[n - 1][n - 1]
-    coeffs = _unpack_balanced(det, width)
+            row_i = a[i]
+            aik = row_i[k]
+            cols = [j for j in range(k + 1, n)
+                    if row_i[j] or aik and row_k[j]]
+            digits = helper.reduce(
+                [row_i[j] * piv - aik * row_k[j] for j in cols])
+            values = (helper.ints(digits) if prev == 1
+                      else helper.divexact(digits, divisor))
+            for j, x in zip(cols, values):
+                row_i[j] = x
+        prev = piv
+    coeffs = _unpack_balanced(a[n - 1][n - 1], width)
     if sign < 0:
         coeffs = [(-c) % p for c in coeffs]
     return coeffs

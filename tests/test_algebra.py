@@ -1,11 +1,14 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from conftest import poly
 from paper_lemmas import determinant_cofactor, substitute_scale
+from talex import algebra
 from talex.algebra import (
     INTEGERS,
     DomainMismatchError,
@@ -272,6 +275,115 @@ class TestDeterminant:
         z = LaurentPolynomial.zero()
         m = PolyMatrix.from_rows([[z, z], [poly([1]), poly([2])]])
         assert determinant(m).is_zero
+
+
+def sparse_fp_matrix(rng, n, p, kind):
+    """A sparse n x n matrix of genuine polynomials over F_p, of one of
+    four kinds: generic; a zero at (0, 0), so elimination swaps rows at
+    once; diagonal entries divisible by t next to a constant in every row,
+    so the first pivot, and often later ones, is t^v * g with v > 0; and a
+    last row that is a polynomial combination of two others (singular)."""
+    def entry(density=0.3):
+        if rng.random() >= density:
+            return []
+        return [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    for row in rows:  # no zero row, which determinant returns early on
+        row[rng.randrange(n)] = [rng.randrange(1, p)]
+    if kind == 1:
+        rows[0][0] = []
+        rows[0][rng.randrange(1, n)] = [rng.randrange(1, p)]
+        rows[rng.randrange(1, n)][0] = [rng.randrange(1, p)]
+    elif kind == 2:
+        for i in range(n):
+            rows[i][i] = [0] + [rng.randrange(1, p)
+                                for _ in range(rng.randrange(1, 3))]
+            rows[i][(i + 1) % n] = [rng.randrange(1, p)]
+    elif kind == 3:
+        a, b = rng.sample(range(n - 1), 2)
+        f = [rng.randrange(p), rng.randrange(1, p)]
+        g = [rng.randrange(1, p), rng.randrange(p)]
+        rows[-1] = [[(x + y) % p for x, y in zip(
+            _times(f, rows[a][j], p), _times(g, rows[b][j], p))]
+            for j in range(n)]
+    return rows
+
+
+def _times(f, e, p):
+    """Product of two ascending coefficient lists mod p, zero-padded to
+    len(f) + 3 slots so that two products add slot by slot."""
+    out = [0] * (len(f) + 3)
+    for i, a in enumerate(f):
+        for j, b in enumerate(e):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+class TestPackedFpKernel:
+    def test_matches_sympy_on_sparse_matrices(self, monkeypatch):
+        # the oracle: sympy's determinant of the matrix lifted to ZZ[t],
+        # reduced mod p
+        ring = sympy.ZZ[sympy.symbols("t")]
+        kernel, divisor = algebra._det_packed_modp, algebra._PackedFp.divisor
+        kernel_calls, seen_v = [], []
+
+        def kernel_spy(rows, n, p):
+            kernel_calls.append(n)
+            return kernel(rows, n, p)
+
+        def divisor_spy(self, d, precision):
+            out = divisor(self, d, precision)
+            seen_v.append(out[0])
+            return out
+
+        monkeypatch.setattr(algebra, "_det_packed_modp", kernel_spy)
+        monkeypatch.setattr(algebra._PackedFp, "divisor", divisor_spy)
+        rng = random.Random(90210)
+        singular = 0
+        for case in range(300):
+            p = (2, 3, 5, 7, 11)[case % 5]
+            n = rng.randrange(5, 15)
+            kind = case % 4
+            rows = sparse_fp_matrix(rng, n, p, kind)
+            field = prime_field(p)
+            got = determinant(PolyMatrix.from_rows(
+                [[LaurentPolynomial.make(field, 0, e) for e in row]
+                 for row in rows]))
+            lifted = DomainMatrix(
+                [[ring.ring.from_list(e[::-1]) for e in row] for row in rows],
+                (n, n), ring).det()
+            want = LaurentPolynomial.make(field, 0, lifted.to_dense()[::-1])
+            assert got == want, (case, p, n, kind)
+            if kind == 3:
+                assert got.is_zero
+                singular += 1
+        assert singular == 75
+        assert len(kernel_calls) == 300  # no early return, no other route
+        assert sum(v > 0 for v in seen_v) >= 75
+
+    def test_bottom_up_division(self):
+        helper = algebra._PackedFp(5)
+        w = helper.WIDTH
+        pack = algebra._pack
+        # prev = t * (1 + 2t), and (3 + t) * prev = t * (3 + 2t + 2t^2)
+        divisor = helper.divisor(pack([0, 1, 2], w), 4)
+        assert divisor[:2] == (1, 1)
+        digits = helper.reduce([pack([0, 3, 2, 2], w), 0])
+        assert helper.divexact(digits, divisor) == [pack([3, 1], w), 0]
+
+    def test_inexact_division_raises(self):
+        helper = algebra._PackedFp(5)
+        w = helper.WIDTH
+        pack = algebra._pack
+        divisor = helper.divisor(pack([0, 1, 2], w), 4)
+        # a nonzero slot below t^v
+        with pytest.raises(ArithmeticError):
+            helper.divexact(helper.reduce([pack([1, 3, 2, 2], w)]), divisor)
+        # a quotient of length <= 0: a nonzero numerator of lower degree
+        # than the divisor
+        with pytest.raises(ArithmeticError):
+            helper.divexact(helper.reduce([pack([0, 3], w)]), divisor)
 
 
 class TestGcdAndDivision:

@@ -6,7 +6,8 @@ in a fresh interpreter, compares every outcome with
 span.  A renamed traced function, a layer that no longer does its work, or
 a changed CLI result therefore fails here as well as in the benchmark.
 On the verify workloads the Wada layer must run once per automorphism
-class of surjections.
+class of surjections, and every F_p determinant of verify-modp must run on
+the packed F_p kernel rather than fall back to the packed ZZ route.
 """
 
 import json
@@ -15,6 +16,9 @@ import subprocess
 import sys
 
 import pytest
+
+from talex import algebra
+from talex.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,3 +38,31 @@ def test_traced_workload_passes(workload):
     if workload.startswith("verify-"):
         # one Wada evaluation per automorphism class of surjections
         assert result["layers"]["twisted.wada.per_class"] == 1.0
+
+
+def test_verify_modp_stays_on_the_fp_kernel(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from workloads import WORKLOADS
+
+    calls = []  # [modulus, kernel runs] per determinant call
+    kernel, real_determinant = algebra._det_packed_modp, algebra.determinant
+
+    def counting_kernel(rows, n, p):
+        calls[-1][1] += 1
+        return kernel(rows, n, p)
+
+    def recording_determinant(m):
+        calls.append([m.domain.p, 0])
+        return real_determinant(m)
+
+    monkeypatch.setattr(algebra, "_det_packed_modp", counting_kernel)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("talex") and \
+                getattr(module, "determinant", None) is real_determinant:
+            monkeypatch.setattr(module, "determinant", recording_determinant)
+    for argv in WORKLOADS["verify-modp"]:
+        assert main(argv + ["--format", "json"]) == 0, argv
+    capsys.readouterr()
+    runs = [n for p, n in calls if p is not None]
+    assert len(runs) >= 9
+    assert runs == [1] * len(runs)

@@ -47,6 +47,19 @@ def generator_minus_one(j: int):
     return {(j,): 1, (): -1}
 
 
+def block_rows(pres, f, rep, domain, dropped):
+    """The rows of Wada's block matrix: the Fox Jacobian evaluated at
+    rho.f tensor phi, without the column block of x_dropped."""
+    m, dim = pres.generators, rep.dimension
+    rows = []
+    for r in pres.relators:
+        blocks = [evaluate_rep_phi(fox_derivative(r, j), f, rep, domain)
+                  for j in range(1, m + 1) if j != dropped]
+        for i in range(dim):
+            rows.append([b.entry(i, jj) for b in blocks for jj in range(dim)])
+    return rows
+
+
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     assert a.cols == b.rows
     rows = []
@@ -196,15 +209,7 @@ class TestWadaInvariant:
         # wada_invariant evaluates the Alexander minor at t*rho(g); the
         # oracle assembles and eliminates the full block matrix instead
         def block_numerator(pres, f, rep, domain, dropped):
-            m, dim = pres.generators, rep.dimension
-            rows = []
-            for r in pres.relators:
-                blocks = [evaluate_rep_phi(fox_derivative(r, j), f, rep,
-                                           domain)
-                          for j in range(1, m + 1) if j != dropped]
-                for i in range(dim):
-                    rows.append([b.entry(i, jj) for b in blocks
-                                 for jj in range(dim)])
+            rows = block_rows(pres, f, rep, domain, dropped)
             if not rows:
                 return LaurentPolynomial.one(domain)
             return determinant(PolyMatrix.from_rows(rows))
@@ -325,6 +330,25 @@ class TestTwistedMod:
             reduced = RationalFunction(reduce_mod(exact.numerator, p), den)
             assert equal_up_to_unit(modded.normalized,
                                     rational_normalize(reduced))
+
+    def test_packed_fp_matches_integer_route(self, table):
+        # the block matrices of the mod-p benchmark cases: the packed F_p
+        # determinant against the packed ZZ one of the lifted matrix
+        for name, group, p in (("8_18", alternating4(), 2),
+                               ("6_1", metacyclic(3, 7, 2), 7),
+                               ("4_1", dicyclic(5), 5)):
+            pres, domain = table[name], prime_field(p)
+            rep = regular_representation(group)
+            f = find_meridional_surjections(pres, group,
+                                            up_to_conjugacy=True)[0]
+            rows = block_rows(pres, f, rep, domain, pres.generators)
+            lifted = [[LaurentPolynomial(INTEGERS, e.min_exp, e.coeffs)
+                       for e in row] for row in rows]
+            got = determinant(PolyMatrix.from_rows(rows))
+            assert not got.is_zero
+            assert got == reduce_mod(
+                determinant(PolyMatrix.from_rows(lifted)), p), name
+            assert got == wada_invariant(pres, f, rep, domain).numerator
 
     def test_conjugate_surjections_agree(self, trefoil):
         g = dihedral(3)
