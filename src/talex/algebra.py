@@ -20,6 +20,10 @@ loop runs on CPython's arbitrary-precision ints rather than Python lists:
   pivot t^v*g bottom up: the v low slots must be zero, and the rest is
   multiplied by the Newton inverse of g mod a power of t.  The route
   condition in determinant keeps every slot digit below 2^30: no carries.
+
+The norm prod_{z^n = 1} a(z*t) of a Laurent polynomial over the n-th roots
+of unity, which is det(a(t*P)) for an n-cycle P, needs no matrix at all:
+cycle_norm computes it exactly from power sums by Newton's identities.
 """
 
 from __future__ import annotations
@@ -797,38 +801,67 @@ def determinant(m: PolyMatrix) -> LaurentPolynomial:
     return LaurentPolynomial.make(dom, shift, coeffs)
 
 
+def cycle_norm(a: LaurentPolynomial, length: int) -> LaurentPolynomial:
+    """prod_{z^length = 1} a(z*t), sign included: the determinant of
+    a(t*C) for the cyclic shift C of that length, whose eigenvalues are
+    the length-th roots of unity.  Over F_p, a is lifted to the integers
+    and the result reduced.
+
+    No matrix is built.  Write a = t^s * a0 with a0 a polynomial of degree
+    d, leading coefficient c and roots alpha_i, and let beta_i = c*alpha_i,
+    the roots of the monic integer polynomial c^(d-1) * a0(x/c).  Since
+    prod_z (z*t - alpha) = (-1)^length * (alpha^length - t^length), the
+    coefficient of t^(length*(d-j)) in prod_z a0(z*t) is
+    (-1)^(d*(length+1)+j) * c^(length*(1-j)) * e_j(beta^length).  Newton's
+    recurrence gives the power sums of beta, every length-th one is a
+    power sum of beta^length, and Newton's identities turn those into
+    e_j(beta^length).  Both divisions, by j and by c^(length*(j-1)), are
+    exact, since e_j and the coefficients are integers.  The shift t^s
+    comes back as t^(length*s) * ((-1)^(length+1))^s, the product of the
+    roots of unity being (-1)^(length+1).
+    """
+    if a.is_zero:
+        return a
+    cs = a.coeffs
+    d = len(cs) - 1
+    c = cs[-1]
+    # beta's polynomial x^d + sum_i mono[i] * x^(d-i), i = 1..d
+    mono = [0] + [cs[d - i] * c ** (i - 1) for i in range(1, d + 1)]
+    sums = [d]
+    for m in range(1, d * length + 1):
+        acc = m * mono[m] if m <= d else 0
+        for i in range(1, min(m - 1, d) + 1):
+            acc += mono[i] * sums[m - i]
+        sums.append(-acc)
+    elem = [1]  # e_j(beta^length)
+    for j in range(1, d + 1):
+        acc = 0
+        for i in range(1, j + 1):
+            term = elem[j - i] * sums[i * length]
+            acc += term if i % 2 else -term
+        elem.append(acc // j)
+    flip = (d + a.min_exp) * (length + 1)
+    out = [0] * (d * length + 1)
+    for j in range(d + 1):
+        value = c ** length if j == 0 else elem[j] // c ** (length * (j - 1))
+        out[(d - j) * length] = -value if (flip + j) % 2 else value
+    return LaurentPolynomial.make(a.domain, length * a.min_exp, out)
+
+
 def product_over_roots_of_unity(f: LaurentPolynomial, n: int
                                 ) -> LaurentPolynomial:
-    """The integer polynomial prod_{j=1..n} f(a^j t) for a = e^(2 pi i / n).
+    """The integer polynomial prod_{j=1..n} f(a^j t) for a = e^(2 pi i / n),
+    with the unit fixed so that the lowest-degree coefficient is positive.
 
-    Computed without complex arithmetic: after shifting f to a genuine
-    polynomial, the product is the norm of f(x) in ZZ[t][x]/(x^n - t^n),
-    i.e. the determinant of the multiplication-by-f matrix.  The unit is
-    fixed so the lowest-degree coefficient is positive, and the t-shift
-    comes back as n * min_exp.
+    This is cycle_norm(f, n) up to that sign, so no complex arithmetic and
+    no matrix is involved.
     """
     if n < 1:
         raise ValueError("the root-of-unity order must be positive")
     if f.domain.p is not None:
         raise DomainMismatchError(
             "roots-of-unity products are defined over the integers")
-    if f.is_zero:
-        return f
-    shift = n * f.min_exp
-    cs = f.coeffs
-    d = len(cs) - 1
-    zero = LaurentPolynomial.zero(INTEGERS)
-    mat = [[zero for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for k, fk in enumerate(cs):
-            if fk == 0:
-                continue
-            e = k + c
-            row = e % n
-            tpow = n * (e // n)
-            mat[row][c] = mat[row][c] + LaurentPolynomial(
-                INTEGERS, tpow, (fk,))
-    det = determinant(PolyMatrix.from_rows(mat))
-    if not det.is_zero and det.coeffs[0] < 0:
-        det = -det
-    return det.shift(shift)
+    out = cycle_norm(f, n)
+    if not out.is_zero and out.coeffs[0] < 0:
+        out = -out
+    return out

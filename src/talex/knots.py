@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     INTEGERS,
@@ -266,6 +267,7 @@ def simplify_presentation(pres: KnotPresentation) -> KnotPresentation:
         meridional=pres.meridional)
 
 
+@lru_cache(maxsize=256)
 def alexander_minor(pres: KnotPresentation,
                     domain: CoefficientDomain = INTEGERS,
                     dropped: int | None = None) -> LaurentPolynomial:
@@ -276,6 +278,8 @@ def alexander_minor(pres: KnotPresentation,
     The presentation must be meridional and of deficiency one; with no
     relators (the one-generator unknot) D is 1.  D(t) equals Delta_K(t) up
     to a unit for every choice of column, and D(1) = +-1 for a knot.
+    Presentations and domains are frozen, so each minor is computed once
+    per call signature and cached.
     """
     m = pres.generators
     dropped = m if dropped is None else dropped

@@ -41,9 +41,10 @@ The cases that ``make_case`` builds, with (k, |G'|) and the modulus:
 
 ``rhs`` checks both conditions on the group it is given rather than
 assuming them.  ``verify_congruence`` still computes the left side on G
-itself.  Complex roots of unity never appear: the orbit product is the
-resultant-based ``product_over_roots_of_unity`` over ZZ, reduced mod p
-afterwards, so everything stays exact.
+itself.  Complex roots of unity never appear: both orbit products are
+cycle norms prod_z a(z*t) (algebra.cycle_norm), computed over ZZ from
+power sums by Newton's identities and reduced mod p afterwards, so
+everything stays exact.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .algebra import (
     LaurentPolynomial,
     RationalFunction,
     _is_prime,
+    cycle_norm,
     equal_up_to_unit,
     product_over_roots_of_unity,
     rational_normalize,
@@ -187,9 +189,10 @@ def _check_is_alexander(delta: LaurentPolynomial):
 def _cyclic_orbit_quotient(delta: LaurentPolynomial, n: int
                            ) -> RationalFunction:
     """prod_{j=1..n} Delta(a^j t) / (a^j t - 1) as an exact rational
-    function; the denominator orbit product is +-(t^n - 1)."""
+    function; the denominator orbit product is the cycle norm of t - 1,
+    (-1)^(n+1) * (t^n - 1)."""
     num = product_over_roots_of_unity(delta, n)
-    den = LaurentPolynomial.make(INTEGERS, 0, [-1] + [0] * (n - 1) + [1])
+    den = cycle_norm(LaurentPolynomial.make(INTEGERS, 0, [-1, 1]), n)
     return RationalFunction(num, den)
 
 

@@ -10,13 +10,19 @@ for a dropped generator x_j.  The quotient, up to units c*t^k, does not
 depend on j (Wada, Topology 33, 1994); this module drops x_m unless the
 caller names another generator.
 
-Every representation is by permutation matrices (see groups.MatrixRep),
-so the small determinant is det(t*P - I) for the permutation matrix P of
-f(x_j), which is the product over the cycles of P of (-1)^(len+1) *
-(t^len - 1).  This module computes it in that closed form, from the
-cycles of P; the determinant of the evaluated x_j - 1 is only the test
-oracle.  It never vanishes, over the integers or over any F_p; for the
-regular representation and f(x_j) of order k it is +-(t^k - 1)^(|G|/k).
+Every representation is by permutation matrices (see groups.MatrixRep).
+For a Laurent polynomial a and a permutation matrix P, det(a(t*P)) is a
+product over the cycles of P: P is permutation-similar to a block
+diagonal of cyclic shifts C_len, and a(t*C_len) has the eigenvalues
+a(z*t) for the len-th roots of unity z, so its determinant is the cycle
+norm prod_z a(z*t) of algebra.cycle_norm.  permutation_norm computes it
+that way, without a matrix; the identity is one of integer polynomials,
+so it holds bit for bit over the integers and, by reduction, over every
+F_p.  The small determinant is det(t*P - I), the norm of a = t - 1 over
+the permutation matrix P of f(x_j): the product over the cycles of
+(-1)^(len+1) * (t^len - 1).  It never vanishes, over the integers or over
+any F_p; for the regular representation and f(x_j) of order k it is
++-(t^k - 1)^(|G|/k).
 
 For the regular representation, surjections f and sigma.f that differ by
 an automorphism sigma of G give invariants that agree exactly, unreduced
@@ -35,13 +41,15 @@ is D(t*rho(g)) for the (m-1) x (m-1) matrix D(t) of abelianized Fox
 derivatives, and its blocks commute.  For commuting blocks the block
 determinant is det(d(t*rho(g))), where d = det D is the Alexander minor
 of knots.alexander_minor (Kovacs, Silver and Williams, Amer. Math. Monthly
-106, 1999).  The identity holds over any commutative coefficient ring, so
-it is exact over the integers and every F_p and gives the generic route's
-numerator bit for bit; the elimination shrinks from (m-1)*dim rows to dim.
+106, 1999).  The identity holds over any commutative coefficient ring, and
+det(d(t*rho(g))) is the permutation norm of d over rho(g), so numerator
+and denominator share one norm and no elimination runs; the result is the
+generic route's numerator bit for bit, over the integers and every F_p.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import (
@@ -50,6 +58,7 @@ from .algebra import (
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
+    cycle_norm,
     determinant,
     rational_normalize,
 )
@@ -111,11 +120,11 @@ def evaluate_rep_phi(element: GroupRingElement, f: Homomorphism,
     return PolyMatrix(dim, dim, entries)
 
 
-def permutation_denominator(perm, domain: CoefficientDomain
-                            ) -> LaurentPolynomial:
-    """det(t*P - I) for the permutation matrix P of the column map perm:
-    the product over the cycles of P of (-1)^(len+1) * (t^len - 1)."""
-    out = LaurentPolynomial.one(domain)
+def permutation_norm(a: LaurentPolynomial, perm) -> LaurentPolynomial:
+    """det(a(t*P)) for the permutation matrix P of the column map perm: the
+    product over the cycles of P of algebra.cycle_norm(a, len), computed
+    once per distinct cycle length and raised to its multiplicity."""
+    lengths: Counter[int] = Counter()
     seen = [False] * len(perm)
     for start in range(len(perm)):
         length, x = 0, start
@@ -124,9 +133,10 @@ def permutation_denominator(perm, domain: CoefficientDomain
             x = perm[x]
             length += 1
         if length:
-            sign = (-1) ** (length + 1)
-            out = out * LaurentPolynomial.make(
-                domain, 0, [-sign] + [0] * (length - 1) + [sign])
+            lengths[length] += 1
+    out = LaurentPolynomial.one(a.domain)
+    for length, count in lengths.items():
+        out = out * cycle_norm(a, length) ** count
     return out
 
 
@@ -141,12 +151,11 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
 
     x_m is dropped unless dropped_generator (1-based) names another
     generator, which changes the result only by a unit.  The denominator
-    det(t*rho(f(x_j)) - I) is +-prod over the cycles of rho(f(x_j)) of
-    (t^len - 1), computed in that form; it is nonzero over every domain,
-    so any choice is valid.  When f sends every generator to one element
-    g, the numerator is det(d(t*rho(g))) for the Alexander minor d (see
-    the module docstring); otherwise it is the determinant of the block
-    matrix.
+    det(t*rho(f(x_j)) - I) is the permutation norm of t - 1 over
+    rho(f(x_j)); it is nonzero over every domain, so any choice is valid.
+    When f sends every generator to one element g, the numerator is the
+    permutation norm of the Alexander minor over rho(g) (see the module
+    docstring); otherwise it is the determinant of the block matrix.
     """
     m = pres.generators
     if len(pres.relators) != m - 1:
@@ -158,13 +167,12 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     dropped = m if dropped_generator is None else dropped_generator
     if not 1 <= dropped <= m:
         raise ValueError(f"dropped generator {dropped} out of range")
-    den = permutation_denominator(rep.perms[f.images[dropped - 1]], domain)
+    den = permutation_norm(LaurentPolynomial.make(domain, 0, [-1, 1]),
+                           rep.perms[f.images[dropped - 1]])
 
     if len(set(f.images)) == 1:
-        d = alexander_minor(pres, domain, dropped)
-        power = {(1,) * k if k >= 0 else (-1,) * -k: c
-                 for k, c in enumerate(d.coeffs, d.min_exp) if c}
-        num = determinant(evaluate_rep_phi(power, f, rep, domain))
+        num = permutation_norm(alexander_minor(pres, domain, dropped),
+                               rep.perms[f.images[0]])
     else:
         dim = rep.dimension
         kept = [j for j in range(1, m + 1) if j != dropped]

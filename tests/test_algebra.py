@@ -16,6 +16,7 @@ from talex.algebra import (
     NonInvertibleScalarError,
     PolyMatrix,
     RationalFunction,
+    cycle_norm,
     determinant,
     divexact,
     equal_up_to_unit,
@@ -206,6 +207,75 @@ class TestRootsOfUnityProduct:
             product_over_roots_of_unity(poly([1, 1]), 0)
         with pytest.raises(DomainMismatchError):
             product_over_roots_of_unity(poly([1, 1], domain=F3), 2)
+
+
+def shifted_circulant(a, length):
+    """t^(-a.min_exp) * a(t*C) for the cyclic shift C of the given length
+    (column j to row j + 1 mod length), as ascending coefficient lists of
+    genuine polynomials."""
+    rows = [[[0] * len(a.coeffs) for _ in range(length)]
+            for _ in range(length)]
+    for k, c in enumerate(a.coeffs):
+        for j in range(length):
+            rows[(j + a.min_exp + k) % length][j][k] += c
+    return rows
+
+
+class TestCycleNorm:
+    def test_linear(self):
+        # prod_z (z*t - 1) = (-1)^(len+1) * (t^len - 1)
+        assert cycle_norm(poly([-1, 1]), 3) == poly([-1, 0, 0, 1])
+        assert cycle_norm(poly([-1, 1]), 4) == poly([1, 0, 0, 0, -1])
+        assert cycle_norm(poly([-1, 1], domain=F3), 2) == \
+            poly([1, 0, 2], domain=F3)
+
+    def test_zero_and_constant(self):
+        assert cycle_norm(LaurentPolynomial.zero(), 5).is_zero
+        # (c * t^s)(z*t) multiplied over z: c^len t^(len*s) times the
+        # product of the roots of unity, -1, raised to s
+        assert cycle_norm(poly([3], min_exp=1), 2) == poly([-9], min_exp=2)
+        assert cycle_norm(poly([3], min_exp=-1), 3) == poly([27],
+                                                            min_exp=-3)
+
+    def test_matches_sympy_circulant_determinant(self):
+        # the oracle: sympy's determinant over ZZ[t] of the circulant
+        # a(t*C), shifted to genuine polynomials and lifted from F_p,
+        # reduced mod p; t^(len*min_exp) restores the shift
+        ring = sympy.ZZ[sympy.symbols("t")]
+        rng = random.Random(4242)
+        divided = 0
+        for case in range(360):
+            p = (None, 2, 3, 5, 7, 11)[case % 6]
+            length = case % 20 + 1
+            domain = algebra.CoefficientDomain(p)
+            degree = rng.randrange(0, 9)
+            lead = rng.choice((2, -2, 3, -3, 1, -1))
+            if p is not None and lead % p == 0:
+                lead = 1
+            coeffs = [rng.randrange(-4, 5) for _ in range(degree)] + [lead]
+            coeffs[0] = coeffs[0] or rng.choice((1, -1, 0))
+            a = LaurentPolynomial.make(domain, rng.randrange(-5, 3), coeffs)
+            rows = shifted_circulant(a, length)
+            det = DomainMatrix(
+                [[ring.ring.from_list(e[::-1]) for e in row] for row in rows],
+                (length, length), ring).det()
+            want = LaurentPolynomial.make(domain, length * a.min_exp,
+                                          det.to_dense()[::-1])
+            assert cycle_norm(a, length) == want, (case, p, length, a)
+            if len(a.coeffs) > 2 and a.coeffs[-1] not in (1, -1) \
+                    and length > 1:
+                divided += 1
+        assert divided >= 150
+
+    def test_roots_of_unity_product_is_the_signed_norm(self):
+        rng = random.Random(17)
+        for _ in range(50):
+            f = poly([rng.randrange(-3, 4) for _ in range(5)] + [2],
+                     min_exp=rng.randrange(-3, 3))
+            n = rng.randrange(1, 12)
+            norm = cycle_norm(f, n)
+            assert product_over_roots_of_unity(f, n) == (
+                norm if norm.coeffs[0] > 0 else -norm)
 
 
 def random_matrix(rng, n, domain):

@@ -6,8 +6,10 @@ in a fresh interpreter, compares every outcome with
 span.  A renamed traced function, a layer that no longer does its work, or
 a changed CLI result therefore fails here as well as in the benchmark.
 On the verify workloads the Wada layer must run once per automorphism
-class of surjections, and every F_p determinant of verify-modp must run on
-the packed F_p kernel rather than fall back to the packed ZZ route.
+class of surjections, every F_p determinant of verify-modp must run on
+the packed F_p kernel rather than fall back to the packed ZZ route, and
+verify-exact must compute no determinant larger than an Alexander minor:
+its numerators and orbit products are cycle norms, not eliminations.
 """
 
 import json
@@ -17,7 +19,7 @@ import sys
 
 import pytest
 
-from talex import algebra
+from talex import algebra, knots
 from talex.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -66,3 +68,28 @@ def test_verify_modp_stays_on_the_fp_kernel(monkeypatch, capsys):
     runs = [n for p, n in calls if p is not None]
     assert len(runs) >= 9
     assert runs == [1] * len(runs)
+
+
+def test_verify_exact_runs_only_alexander_minors(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from workloads import WORKLOADS
+
+    sizes = []
+    real_determinant = algebra.determinant
+
+    def recording_determinant(m):
+        sizes.append(m.rows)
+        return real_determinant(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("talex") and \
+                getattr(module, "determinant", None) is real_determinant:
+            monkeypatch.setattr(module, "determinant", recording_determinant)
+    knots.alexander_minor.cache_clear()  # so that the minors run again
+    for argv in WORKLOADS["verify-exact"]:
+        assert main(argv + ["--format", "json"]) == 0, argv
+    capsys.readouterr()
+    # an Alexander minor of an m-generator presentation has m - 1 rows
+    largest = max(p.generators for p in knots.bundled_table().values()) - 1
+    assert sizes
+    assert max(sizes) <= largest

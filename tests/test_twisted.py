@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import bundled_pd_codes, dense_rep_phi, poly
@@ -29,12 +31,17 @@ from talex.homsearch import (
     find_meridional_surjections,
     regular_equivalence_classes,
 )
-from talex.knots import KnotPresentation, fox_derivative, wirtinger_from_pd
+from talex.knots import (
+    KnotPresentation,
+    alexander_minor,
+    fox_derivative,
+    wirtinger_from_pd,
+)
 from talex.twisted import (
     alexander_polynomial,
     evaluate_rep_phi,
     invariants,
-    permutation_denominator,
+    permutation_norm,
     wada_invariant,
 )
 
@@ -380,8 +387,9 @@ class TestTwistedMod:
                             generator_minus_one(1), Homomorphism(g, (x,)),
                             rep, domain))
                         assert not oracle.is_zero
-                        assert permutation_denominator(
-                            rep.perms[x], domain) == oracle, (g.name, x)
+                        assert permutation_norm(
+                            poly([-1, 1], domain=domain),
+                            rep.perms[x]) == oracle, (g.name, x)
                 for f in surjections:
                     for j in range(1, trefoil.generators + 1):
                         res = wada_invariant(trefoil, f, regular, domain,
@@ -389,6 +397,33 @@ class TestTwistedMod:
                         assert res.denominator == determinant(
                             evaluate_rep_phi(generator_minus_one(j), f,
                                              regular, domain))
+
+
+    def test_permutation_norm_matches_block_determinant(self, table):
+        # det(a(t*P)) against the determinant of the evaluated matrix, for
+        # a the Alexander minors and random Laurent polynomials, and P the
+        # image of every element under regular + trivial: cycles of the
+        # element's order beside a fixed point, so two cycle lengths
+        rng = random.Random(2718)
+        polys = [alexander_minor(table[k]) for k in ("5_2", "8_18")] + [
+            LaurentPolynomial.make(
+                INTEGERS, rng.randrange(-3, 2),
+                [rng.randrange(-3, 4) for _ in range(rng.randrange(1, 6))]
+                + [rng.choice((2, -3, 1))])
+            for _ in range(4)]
+        for g in (cyclic(6), dihedral(3), alternating4()):
+            rep = direct_sum_rep(regular_representation(g),
+                                 trivial_representation(g))
+            for domain in (INTEGERS, prime_field(2), prime_field(5)):
+                for a in polys:
+                    a = LaurentPolynomial.make(domain, a.min_exp, a.coeffs)
+                    power = {(1,) * k if k >= 0 else (-1,) * -k: c
+                             for k, c in enumerate(a.coeffs, a.min_exp)}
+                    for x in g.elements():
+                        oracle = determinant(evaluate_rep_phi(
+                            power, Homomorphism(g, (x,)), rep, domain))
+                        assert permutation_norm(a, rep.perms[x]) == oracle, \
+                            (g.name, x, domain, a)
 
 
 # (group, knot, modulus) whose surjections fall into fewer automorphism
