@@ -145,10 +145,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(domain, 0, (domain.reduce(1),))
 
     @staticmethod
-    def constant(c: int, domain: CoefficientDomain = INTEGERS) -> "LaurentPolynomial":
-        return LaurentPolynomial.make(domain, 0, (c,))
-
-    @staticmethod
     def t_power(k: int, domain: CoefficientDomain = INTEGERS) -> "LaurentPolynomial":
         return LaurentPolynomial(domain, k, (domain.reduce(1),))
 

@@ -36,7 +36,6 @@ from .groups import (
     dp_semidirect_cp,
     group_from_cayley_json,
     metacyclic,
-    regular_representation,
 )
 from .homsearch import (
     DEFAULT_BUDGET,
@@ -188,7 +187,6 @@ def cmd_compute(args) -> int:
     group = parse_group_spec(args.group)
     mod = args.mod
     domain = _coefficient_domain(mod)
-    rep = regular_representation(group)
     results, lines = [], []
     worst = EXIT_OK
     for name in names:
@@ -209,12 +207,9 @@ def cmd_compute(args) -> int:
                             "surjections_found": 0, "invariants": []})
             lines.append(f"{name} -> {group.name}: no surjection")
             continue
-        result_of = {f.images: res
-                     for cls, res in invariants(pres, surjections, rep, domain)
-                     for f in cls}
         records = []
-        for f in surjections:
-            res = result_of[f.images]
+        for f, res in zip(surjections,
+                          invariants(pres, group, surjections, domain)):
             records.append({"images": list(f.images), **res.to_json()})
             lines.append(f"{name} -> {group.name}"
                          + (f" mod {mod}" if mod else "")

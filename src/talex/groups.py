@@ -115,16 +115,10 @@ class FiniteGroup:
         raise GroupValidationError("no identity element")
 
     def _find_inverses(self) -> tuple[int, ...]:
-        n, e = self.order, self.identity
-        inv = [-1] * n
-        for g in range(n):
-            for h in range(n):
-                if self.cayley[g][h] == e and self.cayley[h][g] == e:
-                    inv[g] = h
-                    break
-            else:
-                raise GroupValidationError(f"element {g} has no inverse")
-        return tuple(inv)
+        """Row g is a permutation, so exactly one h has g*h = e.  It is a
+        two-sided inverse: (h*g)*h = h*(g*h) = h = e*h, and columns
+        cancel, so h*g = e."""
+        return tuple(row.index(self.identity) for row in self.cayley)
 
     # -- basic operations --------------------------------------------------
 
@@ -478,7 +472,13 @@ class MatrixRep:
 
 def regular_representation(group: FiniteGroup) -> MatrixRep:
     """Left multiplication h -> g*h on the element basis: row g of the
-    Cayley table is the column map of the image of g."""
-    rep = MatrixRep(group, group.order, group.cayley)
-    rep.validate()
-    return rep
+    Cayley table is the column map of the image of g.
+
+    It needs no MatrixRep.validate: the group's construction already
+    proved what that would check.  Every row is a permutation, and the
+    identity's row is the identity map.  The homomorphism law for a
+    greedy generator h, perms[g*h][x] = perms[g][perms[h][x]] for all g
+    and x, reads (g*h)*x = g*(h*x): the triples of Light's test in
+    FiniteGroup._validate, on the same table and the same generators.
+    """
+    return MatrixRep(group, group.order, group.cayley)

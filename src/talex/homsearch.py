@@ -163,8 +163,10 @@ def regular_equivalence_classes(homs: list[Homomorphism]
     permutation matrix Q of sigma on the element basis.  Both Wada
     matrices are then conjugated by a block diagonal of copies of Q, so
     the unreduced numerator and denominator are equal, not only equal up
-    to a unit.  Every caller (twisted.invariants, and through it verify,
-    compute and the nonvanishing sweep) computes one member per class.
+    to a unit.  The one runtime caller is twisted.invariants: it computes
+    one member per class and hands the result to every member, and
+    verify, compute and the nonvanishing sweep take their per-surjection
+    results from it.
     """
     classes: list[list[Homomorphism]] = []
     for h in homs:

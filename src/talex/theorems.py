@@ -59,7 +59,6 @@ from .algebra import (
     RationalFunction,
     _is_prime,
     cycle_norm,
-    equal_up_to_unit,
     product_over_roots_of_unity,
     rational_normalize,
 )
@@ -73,7 +72,6 @@ from .groups import (
     direct_product,
     dp_semidirect_cp,
     metacyclic,
-    regular_representation,
 )
 from .homsearch import DEFAULT_BUDGET, find_meridional_surjections
 from .knots import KnotPresentation
@@ -274,29 +272,26 @@ def verify_congruence(pres: KnotPresentation, knot_name: str,
     """Check the case's formula against every surjection up to conjugacy.
 
     The left side runs through the full twisted pipeline (mod p, or the
-    exact invariant for the cyclic case), evaluated once per automorphism
-    class of surjections; every member records its class's value and
-    verdict.  The right side is rhs() on the classical Alexander
-    polynomial.  No surjections is a vacuous verdict, not a failure.
+    exact invariant for the cyclic case), one value per surjection from
+    ``twisted.invariants``.  The right side is rhs() on the classical
+    Alexander polynomial.  Both sides are rational_normalize outputs over
+    one domain, which coincide exactly when the values agree up to a
+    unit, so each verdict is ``==``.  No surjections is a vacuous
+    verdict, not a failure.
     """
     start = time.perf_counter()
     group = group_for_case(case)
-    rep = regular_representation(group)
     surjections = find_meridional_surjections(
         pres, group, up_to_conjugacy=True, budget=budget)
     delta = alexander_polynomial(pres)
     rhs_value = rhs(group, case.modulus, delta)
-    outcome = {}  # image tuple -> (lhs, verdict) of its class
-    for cls, res in invariants(pres, surjections, rep,
-                               CoefficientDomain(case.modulus)):
-        pair = (res.normalized, equal_up_to_unit(res.normalized, rhs_value))
-        outcome.update((f.images, pair) for f in cls)
-    pairs = [outcome[f.images] for f in surjections]
+    lhs = tuple(res.normalized for res in invariants(
+        pres, group, surjections, CoefficientDomain(case.modulus)))
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerdictRecord(
         knot=knot_name, group=group.name, parameters=case.parameters,
         surjections_found=len(surjections),
-        verdicts=tuple(v for _, v in pairs), lhs=tuple(x for x, _ in pairs),
+        verdicts=tuple(x == rhs_value for x in lhs), lhs=lhs,
         rhs=rhs_value, modulus=case.modulus, elapsed_ms=elapsed)
 
 
@@ -334,34 +329,31 @@ class NonvanishingRecord:
 
 
 def sweep_nonvanishing(table: dict[str, KnotPresentation],
-                       budget: int = DEFAULT_BUDGET,
-                       progress=None) -> list[NonvanishingRecord]:
+                       budget: int = DEFAULT_BUDGET
+                       ) -> list[NonvanishingRecord]:
     """For every catalog group and bundled knot, check that each computed
     twisted invariant is nonzero (mod the theorem's p where one applies,
     exact otherwise).
 
-    ``twisted.invariants`` computes one invariant per automorphism class
-    of surjections (the members share it by the conjugate-representation
-    lemma), so ``classes_computed`` counts the Wada evaluations.
+    ``twisted.invariants`` evaluates one invariant per automorphism class
+    of surjections and hands every member that result object, so
+    ``classes_computed``, the number of distinct results, counts the Wada
+    evaluations.
     """
     out = []
     for group_name, group, modulus in catalog_under_24():
-        rep = regular_representation(group)
         domain = CoefficientDomain(modulus)
         for knot_name in sorted(table):
             start = time.perf_counter()
             pres = table[knot_name]
             homs = find_meridional_surjections(
                 pres, group, up_to_conjugacy=True, budget=budget)
-            results = [res for _, res in
-                       invariants(pres, homs, rep, domain)]
-            rec = NonvanishingRecord(
+            results = invariants(pres, group, homs, domain)
+            out.append(NonvanishingRecord(
                 knot=knot_name, group=group_name,
-                surjections_found=len(homs), classes_computed=len(results),
+                surjections_found=len(homs),
+                classes_computed=len({id(res) for res in results}),
                 all_nonzero=not any(res.is_zero for res in results),
                 modulus=modulus,
-                elapsed_ms=(time.perf_counter() - start) * 1000.0)
-            if progress is not None:
-                progress(rec)
-            out.append(rec)
+                elapsed_ms=(time.perf_counter() - start) * 1000.0))
     return out

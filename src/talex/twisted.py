@@ -27,8 +27,10 @@ any F_p; for the regular representation and f(x_j) of order k it is
 For the regular representation, surjections f and sigma.f that differ by
 an automorphism sigma of G give invariants that agree exactly, unreduced
 numerator and denominator included (see
-homsearch.regular_equivalence_classes), so ``invariants`` evaluates one
-member per automorphism class.
+homsearch.regular_equivalence_classes).  ``invariants`` is the one place
+that uses this: it builds the regular representation itself, evaluates
+one member per automorphism class, and hands every surjection its
+class's result.
 
 Block rows are ordered by (relator, representation row) and block columns
 by (kept generator ascending, representation column).
@@ -62,7 +64,7 @@ from .algebra import (
     determinant,
     rational_normalize,
 )
-from .groups import MatrixRep
+from .groups import FiniteGroup, MatrixRep, regular_representation
 from .homsearch import (
     Homomorphism,
     evaluate_word,
@@ -86,7 +88,6 @@ class TwistedAlexanderResult:
     denominator: LaurentPolynomial
     dropped_generator: int
     normalized: RationalFunction
-    domain: CoefficientDomain
 
     @property
     def is_zero(self) -> bool:
@@ -184,22 +185,28 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
         num = determinant(PolyMatrix.from_rows(rows))
 
     normalized = rational_normalize(RationalFunction(num, den))
-    return TwistedAlexanderResult(num, den, dropped, normalized, domain)
+    return TwistedAlexanderResult(num, den, dropped, normalized)
 
 
-def invariants(pres: KnotPresentation, homs: list[Homomorphism],
-               rep: MatrixRep, domain: CoefficientDomain = INTEGERS):
-    """Yield (class, result) for each automorphism class of ``homs``, in
-    the order of ``regular_equivalence_classes``: ``wada_invariant`` runs
-    once, on the class's first member, and every member shares the
-    result exactly.  ``rep`` must be the regular representation of the
-    target group, the one whose invariants the classes share.
+def invariants(pres: KnotPresentation, group: FiniteGroup,
+               homs: list[Homomorphism],
+               domain: CoefficientDomain = INTEGERS
+               ) -> list[TwistedAlexanderResult]:
+    """The invariant of the regular representation of ``group`` composed
+    with each surjection in ``homs``, in the order of ``homs``.
+
+    ``wada_invariant`` runs once per automorphism class of
+    ``regular_equivalence_classes``, on the class's first member, and
+    every member gets that result object: the members' invariants agree
+    exactly.  So the number of distinct results is the number of Wada
+    evaluations.
     """
-    if rep.perms != rep.group.cayley:
-        raise ValueError("automorphism classes share invariants only for "
-                         "the regular representation")
+    rep = regular_representation(group)
+    result_of = {}
     for cls in regular_equivalence_classes(homs):
-        yield cls, wada_invariant(pres, cls[0], rep, domain)
+        res = wada_invariant(pres, cls[0], rep, domain)
+        result_of.update((f.images, res) for f in cls)
+    return [result_of[f.images] for f in homs]
 
 
 def alexander_polynomial(pres: KnotPresentation) -> LaurentPolynomial:

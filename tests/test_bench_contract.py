@@ -9,7 +9,10 @@ On the verify workloads the Wada layer must run once per automorphism
 class of surjections, every F_p determinant of verify-modp must run on
 the packed F_p kernel rather than fall back to the packed ZZ route, and
 verify-exact must compute no determinant larger than an Alexander minor:
-its numerators and orbit products are cycle norms, not eliminations.
+its numerators and orbit products are cycle norms, not eliminations.  Each
+verify-exact check normalises three rational functions, the invariant, the
+right-hand side and the Alexander polynomial, and compares the normal
+forms without normalising them again.
 """
 
 import json
@@ -93,3 +96,29 @@ def test_verify_exact_runs_only_alexander_minors(monkeypatch, capsys):
     largest = max(p.generators for p in knots.bundled_table().values()) - 1
     assert sizes
     assert max(sizes) <= largest
+
+
+def test_verify_exact_normalizes_three_times_per_check(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from workloads import WORKLOADS
+
+    calls = []
+    real_normalize = algebra.rational_normalize
+
+    def counting_normalize(r):
+        calls.append(r)
+        return real_normalize(r)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("talex") and getattr(
+                module, "rational_normalize", None) is real_normalize:
+            monkeypatch.setattr(module, "rational_normalize",
+                                counting_normalize)
+    checks = 0
+    for argv in WORKLOADS["verify-exact"]:
+        assert main(argv + ["--format", "json"]) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        checks += len(report["results"])
+    # the surjections onto C_n form one automorphism class, so each
+    # (knot, n) check runs one Wada evaluation
+    assert len(calls) == 3 * checks == 324

@@ -271,6 +271,12 @@ class TestStructure:
         assert m.element_order(m.label("a")) == 7
 
 
+def catalog_and_large() -> list[FiniteGroup]:
+    """The order-< 24 catalog and the three largest benchmark groups."""
+    groups = [g for _, g, _ in catalog_under_24()]
+    return groups + [dihedral(25), dihedral(27), dp_semidirect_cp(5)]
+
+
 class TestValidation:
     def test_rejects_non_latin_square(self):
         with pytest.raises(GroupValidationError, match="permutation"):
@@ -298,14 +304,18 @@ class TestValidation:
 
     def test_light_test_skips_identity(self):
         # a two-sided identity associates trivially, so it is never tested
-        groups = [g for _, g, _ in catalog_under_24()]
-        groups += [dihedral(25), dihedral(27), dp_semidirect_cp(5)]
-        for g in groups:
+        for g in catalog_and_large():
             gens = g._greedy_generators()
             assert g.identity not in gens, g.name
             assert g.subgroup_generated(gens) == set(g.elements()), g.name
         assert dihedral(25)._greedy_generators() == [1, 25]
         assert dp_semidirect_cp(5)._greedy_generators() == [1, 5, 25]
+
+    def test_inverses_are_two_sided(self):
+        for g in catalog_and_large():
+            for x in g.elements():
+                assert g.mul(x, g.inv(x)) == g.identity, (g.name, x)
+                assert g.mul(g.inv(x), x) == g.identity, (g.name, x)
 
     def test_cayley_json_roundtrip(self):
         g = dihedral(3)

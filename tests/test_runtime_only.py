@@ -1,12 +1,17 @@
 """The package ships only its runtime path: every module-level function and
 class in src/talex is referenced by the package itself or exported in
 talex.__all__.  Code that only the tests call, such as the paper's proof
-lemmas and the slow oracles, lives in tests/paper_lemmas.py."""
+lemmas and the slow oracles, lives in tests/paper_lemmas.py.  Every method
+of a package class is referenced by name somewhere in the package, the
+tests or the benchmark, so no method is kept for a caller that does not
+exist."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "talex"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "talex"
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
@@ -45,3 +50,51 @@ def test_detects_a_test_only_function():
                  "def oracle(n):\n    return oracle(n - 1)\n"),
     }
     assert unreferenced_definitions(sources) == ["oracle"]
+
+
+def _name_counts(tree) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_methods(package: dict[str, str],
+                         others: list[str]) -> list[str]:
+    """Class.method for every non-dunder method of a class in ``package``
+    whose name occurs as a Name or Attribute nowhere in ``package`` or
+    ``others`` outside the method's own body."""
+    used, methods = Counter(), []
+    for source in others:
+        used += _name_counts(ast.parse(source))
+    for source in package.values():
+        tree = ast.parse(source)
+        used += _name_counts(tree)
+        methods += [(cls.name, fn) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) for fn in cls.body
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (fn.name.startswith("__")
+                             and fn.name.endswith("__"))]
+    # a recursive call is not a caller
+    return sorted(f"{cls_name}.{fn.name}" for cls_name, fn in methods
+                  if used[fn.name] == _name_counts(fn)[fn.name])
+
+
+def test_every_method_has_a_caller():
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text(encoding="utf-8")
+              for folder in ("tests", "perfbench")
+              for path in sorted((ROOT / folder).glob("*.py"))]
+    assert unreferenced_methods(package, others) == []
+
+
+def test_detects_a_method_without_caller():
+    package = {
+        "m.py": ("class A:\n"
+                 "    def api(self):\n        return self._helper()\n\n"
+                 "    def _helper(self):\n        return 1\n\n"
+                 "    def dead(self, n):\n        return self.dead(n - 1)\n\n"
+                 "    def __len__(self):\n        return 0\n"),
+    }
+    others = ["from m import A\n\nA().api()\n"]
+    assert unreferenced_methods(package, others) == ["A.dead"]

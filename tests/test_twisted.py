@@ -441,27 +441,25 @@ class TestInvariants:
         "g,knot,p", AUDIT_CASES,
         ids=[f"{g.name}-{k}-{p}" for g, k, p in AUDIT_CASES])
     def test_members_share_class_result(self, table, g, knot, p):
-        # audit: evaluate every member of every class directly; the
-        # unreduced numerator and denominator and the dropped generator
-        # must equal the class result, not only up to a unit
+        # one result per surjection, in order; the members of a class
+        # share one object, so distinct objects count the Wada runs
         pres = table[knot]
-        rep = regular_representation(g)
         domain = CoefficientDomain(p)
         homs = find_meridional_surjections(pres, g, up_to_conjugacy=True)
-        pairs = list(invariants(pres, homs, rep, domain))
-        assert [cls for cls, _ in pairs] == regular_equivalence_classes(homs)
-        assert len(pairs) < len(homs)
-        for cls, res in pairs:
-            for f in cls:
-                own = wada_invariant(pres, f, rep, domain)
-                assert own.numerator == res.numerator, f.images
-                assert own.denominator == res.denominator, f.images
-                assert own.dropped_generator == res.dropped_generator
-
-    def test_needs_regular_representation(self, trefoil):
-        g = dihedral(3)
-        rep = direct_sum_rep(regular_representation(g),
-                             trivial_representation(g))
-        homs = find_meridional_surjections(trefoil, g)
-        with pytest.raises(ValueError, match="regular representation"):
-            list(invariants(trefoil, homs, rep))
+        results = invariants(pres, g, homs, domain)
+        assert len(results) == len(homs)
+        classes = regular_equivalence_classes(homs)
+        position = {f.images: i for i, f in enumerate(homs)}
+        for cls in classes:
+            first = results[position[cls[0].images]]
+            assert all(results[position[f.images]] is first for f in cls)
+        assert len({id(res) for res in results}) == len(classes) < len(homs)
+        # audit: evaluate every member directly; the unreduced numerator
+        # and denominator and the dropped generator must equal its
+        # result, not only up to a unit
+        rep = regular_representation(g)
+        for f, res in zip(homs, results):
+            own = wada_invariant(pres, f, rep, domain)
+            assert own.numerator == res.numerator, f.images
+            assert own.denominator == res.denominator, f.images
+            assert own.dropped_generator == res.dropped_generator
