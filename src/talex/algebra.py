@@ -15,11 +15,14 @@ loop runs on CPython's arbitrary-precision ints rather than Python lists:
 * over the integers, intermediate entries are minors of the input matrix,
   so a fixed slot width derived from row 1-norms is provably large enough
   and the whole elimination never needs to unpack;
-* over F_p, each row update forms only the products that can be nonzero,
-  reduces the row mod p in one numpy pass and divides it by the previous
-  pivot t^v*g bottom up: the v low slots must be zero, and the rest is
+* over F_p, each value a row update forms is reduced mod p by a Barrett
+  multiply on the whole packed integer and divided by the previous pivot
+  t^v*g bottom up: the v low slots must be zero, and the rest is
   multiplied by the Newton inverse of g mod a power of t.  The route
   condition in determinant keeps every slot digit below 2^30: no carries.
+
+Both domains run the same elimination loop (_bareiss) and differ only in
+how a value is divided by the previous pivot.
 
 The norm prod_{z^n = 1} a(z*t) of a Laurent polynomial over the n-th roots
 of unity, which is det(a(t*P)) for an n-cycle P, needs no matrix at all:
@@ -31,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 class DomainMismatchError(ValueError):
@@ -602,6 +603,34 @@ def _unpack_balanced(v: int, width: int) -> list[int]:
     return out
 
 
+def _bareiss(a: list[list[int]], n: int, divide) -> int:
+    """The determinant of the n x n matrix a of packed polynomials by
+    fraction-free Bareiss elimination; a is overwritten.
+
+    Step k pivots on a[k][k], swapping in a lower row when it is zero, and
+    replaces a_ij by (a_ij*piv - a_ik*a_kj) / prev for i, j > k, with prev
+    the previous pivot.  Only entries where row i, or row k when a_ik != 0,
+    is nonzero are formed; the others stay zero.  divide(prev, k) returns
+    the map from such a value to its exact quotient by prev."""
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i], sign = a[i], a[k], -sign
+        row_k, piv = a[k], a[k][k]
+        quotient = divide(prev, k)
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                if row_i[j] or aik and row_k[j]:
+                    row_i[j] = quotient(row_i[j] * piv - aik * row_k[j])
+        prev = piv
+    return sign * a[n - 1][n - 1]
+
+
 def _det_packed_integer(rows: list[list[list[int]]], n: int) -> list[int]:
     """Fraction-free Bareiss over ZZ[t] on packed coefficient lists.
 
@@ -616,62 +645,56 @@ def _det_packed_integer(rows: list[list[list[int]]], n: int) -> list[int]:
         bound_bits += max(s, 2).bit_length()
     width = 2 * bound_bits + 4
     a = [[_pack(e, width) for e in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            if aik == 0:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * piv) // prev
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * piv - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = piv
-    det = sign * a[n - 1][n - 1]
+    det = _bareiss(a, n, lambda prev, k: lambda x: x // prev)
     return _unpack_balanced(det, width)
 
 
 class _PackedFp:
-    """F_p[t] packed in 32-bit slots and reduced mod p a row at a time."""
+    """F_p[t] packed in 32-bit slots, reduced mod p by a Barrett multiply
+    on the whole packed integer.
+
+    reduce takes a packed value whose balanced slot digits d satisfy
+    |d| < 2^30 and returns the packed value of the digits d mod p.  Let c be
+    the least multiple of p with c >= 2^30: adding c to every slot makes
+    each digit d + c lie in [0, B), B = 2^31 + p, with no carries, and does
+    not change it mod p.  With s = bit_length(B*p - 1) and m = ceil(2^s/p),
+    floor((d+c)*m / 2^s) = floor((d+c)/p) exactly, because
+    (d+c)*(m*p - 2^s) < B*p <= 2^s.  Since (d+c)*m < 2*B^2 + B < 2^64,
+    masking the even slots, and separately the odd slots, into 64-bit
+    windows keeps every product inside its own window; each quotient is
+    below 2^(64-s) because B^2 < 2^63, so after the shift by s a mask of
+    64-s bits per window removes what the next window shifted in.  The
+    result x - p*q has every slot in 0..p-1.  The route condition in
+    determinant keeps p <= 18919, for which all of this holds.
+    """
 
     WIDTH = 32
 
     def __init__(self, p: int):
         self.p = p
+        self.shift = (((1 << 31) + p) * p - 1).bit_length()
+        self.multiplier = -(-(1 << self.shift) // p)
+        self.masks: dict[int, tuple[int, int, int]] = {}
 
-    def reduce(self, values: list[int]) -> np.ndarray:
-        """Slot digits mod p of packed values whose balanced digits are
-        below 2^(WIDTH-2) in magnitude, one row per value, in one pass."""
-        w, p = self.WIDTH, self.p
-        nslots = max((v.bit_length() for v in values), default=0) // w + 2
-        # 2^(w-1) in every slot makes each digit nonnegative without
-        # carries; adding p - 2^(w-1) mod p then stays inside uint32
-        off = int.from_bytes(b"\0\0\0\x80" * nslots, "little")
-        raw = b"".join((v + off).to_bytes(4 * nslots, "little")
-                       for v in values)
-        arr = np.frombuffer(raw, dtype="<u4") + (p - (1 << (w - 1)) % p)
-        arr %= p
-        return arr.reshape(len(values), nslots)
-
-    @staticmethod
-    def ints(digits: np.ndarray) -> list[int]:
-        """The packed values whose slot digits are the rows of digits."""
-        raw = memoryview(digits.tobytes())
-        step = 4 * digits.shape[1]
-        return [int.from_bytes(raw[i * step:(i + 1) * step], "little")
-                for i in range(len(digits))]
+    def reduce(self, v: int) -> int:
+        """The packed value of v's balanced slot digits mod p (see the
+        class docstring)."""
+        w, p, s = self.WIDTH, self.p, self.shift
+        nslots = v.bit_length() // w + 2
+        masks = self.masks.get(nslots)
+        if masks is None:  # c in every slot, the even slots, the windows
+            slots = ((1 << w * nslots) - 1) // ((1 << w) - 1)
+            windows = ((1 << w * (nslots + nslots % 2)) - 1) \
+                // ((1 << 2 * w) - 1)
+            masks = self.masks[nslots] = (
+                -(-(1 << 30) // p) * p * slots, windows * ((1 << w) - 1),
+                windows * ((1 << 2 * w - s) - 1))
+        offset, even, window = masks
+        x = v + offset
+        m = self.multiplier
+        q = ((x & even) * m >> s & window) \
+            + (((x >> w & even) * m >> s & window) << w)
+        return x - p * q
 
     def divisor(self, d: int, precision: int) -> tuple[int, int, int, int]:
         """(v, deg g, inverse of g mod t^precision, precision) for a
@@ -685,77 +708,47 @@ class _PackedFp:
         while klen < precision:
             klen = min(2 * klen, precision)
             mask = (1 << (w * klen)) - 1
-            gx = self.ints(self.reduce([(g & mask) * x]))[0] & mask
-            x = self.ints(self.reduce([2 * x - x * gx]))[0] & mask
+            gx = self.reduce((g & mask) * x) & mask
+            x = self.reduce(2 * x - x * gx) & mask
         return v, (g.bit_length() - 1) // w, x, precision
 
-    def divexact(self, digits: np.ndarray,
-                 divisor: tuple[int, int, int, int]) -> list[int]:
-        """Each row of reduced digits divided by t^v * g, bottom up: drop
-        the v low slots, which must be zero, and multiply by the inverse of
-        g cut to the quotient length.  A digit of that product sums at most
+    def divexact(self, f: int, divisor: tuple[int, int, int, int]) -> int:
+        """The reduced packed f divided by t^v * g, bottom up: drop the v
+        low slots, which must be zero, and multiply by the inverse of g cut
+        to the quotient length.  A digit of that product sums at most
         precision terms below p^2, so it stays in its slot: the mask is
         exact."""
         v, g_deg, inv, precision = divisor
-        if digits[:, :v].any():
-            raise ArithmeticError("inexact packed division")
-        fs = self.ints(digits[:, v:])
-        bits = [f.bit_length() for f in fs if f]
-        if not bits:
-            return fs
         w = self.WIDTH
-        qlen = (max(bits) - 1) // w + 1 - g_deg
-        if (min(bits) - 1) // w < g_deg or qlen > precision:
+        if not f:
+            return 0
+        qlen = (f.bit_length() - 1) // w + 1 - v - g_deg
+        if f & ((1 << w * v) - 1) or not 0 < qlen <= precision:
             raise ArithmeticError("inexact packed division")
-        mask = (1 << (w * qlen)) - 1
-        inv &= mask
-        return self.ints(self.reduce([(f & mask) * inv & mask for f in fs]))
+        mask = (1 << w * qlen) - 1
+        return self.reduce((f >> w * v & mask) * (inv & mask) & mask)
 
 
 def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
     """Fraction-free Bareiss natively over F_p[t] on packed polynomials.
 
-    A row update forms a_ij*piv - a_ik*a_kj where row i, or row k when
-    a_ik != 0, is nonzero, reduces those values mod p in one numpy pass and
-    divides them by the previous pivot bottom up (_PackedFp.divexact).  The
+    Each value a row update forms is reduced mod p (_PackedFp.reduce) and
+    divided by the previous pivot bottom up (_PackedFp.divexact).  The
     entries after step k are (k+2)-minors of at most (k+2)*(max_len-1)+1
     slots, so raw digits stay below n*max_len*(p-1)^2 and quotient digits
     below (n*max_len+2)*(p-1)^2: both under 2^30 by determinant's route
-    condition."""
+    condition.  The coefficients come back balanced, not yet reduced."""
     max_len = max((len(e) for row in rows for e in row), default=1)
     helper = _PackedFp(p)
-    width = helper.WIDTH
-    a = [[_pack(e, width) for e in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        row_k, piv = a[k], a[k][k]
-        if prev != 1:
-            divisor = helper.divisor(prev, (k + 2) * (max_len - 1) + 1)
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            cols = [j for j in range(k + 1, n)
-                    if row_i[j] or aik and row_k[j]]
-            digits = helper.reduce(
-                [row_i[j] * piv - aik * row_k[j] for j in cols])
-            values = (helper.ints(digits) if prev == 1
-                      else helper.divexact(digits, divisor))
-            for j, x in zip(cols, values):
-                row_i[j] = x
-        prev = piv
-    coeffs = _unpack_balanced(a[n - 1][n - 1], width)
-    if sign < 0:
-        coeffs = [(-c) % p for c in coeffs]
-    return coeffs
+
+    def divide(prev: int, k: int):
+        if prev == 1:
+            return helper.reduce
+        divisor = helper.divisor(prev, (k + 2) * (max_len - 1) + 1)
+        return lambda x: helper.divexact(helper.reduce(x), divisor)
+
+    a = [[_pack(e, helper.WIDTH) for e in row] for row in rows]
+    return _unpack_balanced(_bareiss(a, n, divide), helper.WIDTH)
 
 
 def determinant(m: PolyMatrix) -> LaurentPolynomial:
@@ -792,8 +785,6 @@ def determinant(m: PolyMatrix) -> LaurentPolynomial:
         coeffs = _det_packed_modp(rows, n, dom.p)
     else:
         coeffs = _det_packed_integer(rows, n)
-        if dom.p is not None:
-            coeffs = [c % dom.p for c in coeffs]
     return LaurentPolynomial.make(dom, shift, coeffs)
 
 

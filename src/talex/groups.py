@@ -424,11 +424,15 @@ def group_from_cayley_json(obj: dict | str) -> FiniteGroup:
     """Load {order, identity, table, labels} and re-validate all axioms."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    table = obj["table"]
-    if len(table) != obj["order"]:
-        raise GroupValidationError("declared order does not match the table")
-    g = FiniteGroup(table, labels=obj.get("labels"),
-                    name=obj.get("name", "custom"))
+    try:
+        table = obj["table"]
+        if len(table) != obj["order"]:
+            raise GroupValidationError(
+                "declared order does not match the table")
+        g = FiniteGroup(table, labels=obj.get("labels"),
+                        name=obj.get("name", "custom"))
+    except TypeError as exc:  # a JSON value of the wrong type
+        raise GroupValidationError(f"malformed Cayley table: {exc}") from exc
     if "identity" in obj and g.identity != obj["identity"]:
         raise GroupValidationError("declared identity is wrong")
     return g

@@ -330,12 +330,14 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise KnotTableError(f"knot table is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "knots" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("knots"), list):
         raise KnotTableError('knot table must be an object with a "knots" list')
     table: dict[str, KnotPresentation] = {}
     for pos, entry in enumerate(data["knots"]):
+        if not isinstance(entry, dict):
+            raise KnotTableError(f"entry {pos} is not an object")
         name = entry.get("name")
-        if not name:
+        if not isinstance(name, str) or not name:
             raise KnotTableError(f"entry {pos} has no name")
         try:
             if "pd" in entry:
@@ -357,7 +359,7 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
                 raise KnotTableError(
                     f"entry {name}: Alexander polynomial at 1 is not a unit; "
                     "not a valid knot presentation")
-        except (PDValidationError, ValueError) as exc:
+        except (ValueError, TypeError) as exc:  # TypeError: a wrong shape
             if isinstance(exc, KnotTableError):
                 raise
             raise KnotTableError(f"entry {name or pos}: {exc}") from exc

@@ -106,8 +106,6 @@ def evaluate_rep_phi(element: GroupRingElement, f: Homomorphism,
                      rep: MatrixRep, domain: CoefficientDomain) -> PolyMatrix:
     """(rho.f tensor phi) extended linearly: each group ring term c*w adds
     c * t^phi(w) at the cells (perm[j], j) of rho(f(w)), O(dim) per term."""
-    if rep.group is not f.group:
-        raise ValueError("representation and homomorphism target differ")
     dim = rep.dimension
     terms: list[dict[int, int]] = [{} for _ in range(dim * dim)]
     for word, c in element.items():
@@ -158,6 +156,8 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     permutation norm of the Alexander minor over rho(g) (see the module
     docstring); otherwise it is the determinant of the block matrix.
     """
+    if rep.group is not f.group:
+        raise ValueError("representation and homomorphism target differ")
     m = pres.generators
     if len(pres.relators) != m - 1:
         raise ValueError(

@@ -439,8 +439,8 @@ class TestPackedFpKernel:
         # prev = t * (1 + 2t), and (3 + t) * prev = t * (3 + 2t + 2t^2)
         divisor = helper.divisor(pack([0, 1, 2], w), 4)
         assert divisor[:2] == (1, 1)
-        digits = helper.reduce([pack([0, 3, 2, 2], w), 0])
-        assert helper.divexact(digits, divisor) == [pack([3, 1], w), 0]
+        assert [helper.divexact(helper.reduce(f), divisor)
+                for f in (pack([0, 3, 2, 2], w), 0)] == [pack([3, 1], w), 0]
 
     def test_inexact_division_raises(self):
         helper = algebra._PackedFp(5)
@@ -449,11 +449,27 @@ class TestPackedFpKernel:
         divisor = helper.divisor(pack([0, 1, 2], w), 4)
         # a nonzero slot below t^v
         with pytest.raises(ArithmeticError):
-            helper.divexact(helper.reduce([pack([1, 3, 2, 2], w)]), divisor)
+            helper.divexact(helper.reduce(pack([1, 3, 2, 2], w)), divisor)
         # a quotient of length <= 0: a nonzero numerator of lower degree
         # than the divisor
         with pytest.raises(ArithmeticError):
-            helper.divexact(helper.reduce([pack([0, 3], w)]), divisor)
+            helper.divexact(helper.reduce(pack([0, 3], w)), divisor)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 8191, 18919])
+    def test_slot_reduction_matches_digitwise_mod(self, p):
+        # 18919 is the largest prime the route condition in determinant
+        # admits; the oracle is d % p on every balanced digit
+        helper = algebra._PackedFp(p)
+        w = helper.WIDTH
+        edge = [(1 << 30) - 1, -((1 << 30) - 1), 0, p - 1, -(p - 1)]
+        rng = random.Random(p)
+        for _ in range(400):
+            digits = [rng.choice(edge) if rng.random() < 0.5
+                      else rng.randrange(-(1 << 30) + 1, 1 << 30)
+                      for _ in range(rng.randrange(1, 61))]
+            packed = sum(d << (w * i) for i, d in enumerate(digits))
+            want = sum((d % p) << (w * i) for i, d in enumerate(digits))
+            assert helper.reduce(packed) == want, (p, digits)
 
 
 class TestGcdAndDivision:

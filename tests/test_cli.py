@@ -327,6 +327,30 @@ class TestTableSources:
                            "--table", "/nonexistent/table.json")
         assert code == 3 and "cannot load knot table" in err
 
+    @pytest.mark.parametrize("content,argv", [
+        ([], ("compute", "--knot", "3_1", "--group", "cayley:{}")),
+        ({"order": 2, "table": 5},
+         ("compute", "--knot", "3_1", "--group", "cayley:{}")),
+        ({"order": 1, "table": [[0]], "labels": 5},
+         ("compute", "--knot", "3_1", "--group", "cayley:{}")),
+        ({"knots": 5}, ("alexander", "--table", "{}", "--all-knots")),
+        ({"knots": ["x"]}, ("alexander", "--table", "{}", "--all-knots")),
+        ({"knots": [{"name": "a", "pd": 5}]},
+         ("alexander", "--table", "{}", "--all-knots")),
+        ({"knots": [{"name": ["a"], "pd": [[1, 4, 2, 5]]}]},
+         ("alexander", "--table", "{}", "--all-knots")),
+    ], ids=["cayley-list", "cayley-int-table", "cayley-int-labels", "knots-int",
+            "knots-str-entry", "knots-int-pd", "knots-list-name"])
+    def test_malformed_file_is_bad_input(self, capsys, tmp_path, content,
+                                         argv):
+        # a file of the wrong shape is bad input (exit 3), not a mismatch
+        # (exit 1) with a traceback
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert code == 3 and out == ""
+        assert err.startswith("error:")
+
 
 class TestUsageErrors:
     # exit 2 means "no surjection exists", so argparse's own exit 2 for a

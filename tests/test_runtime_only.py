@@ -4,11 +4,17 @@ talex.__all__.  Code that only the tests call, such as the paper's proof
 lemmas and the slow oracles, lives in tests/paper_lemmas.py.  Every method
 of a package class is referenced by name somewhere in the package, the
 tests or the benchmark, so no method is kept for a caller that does not
-exist."""
+exist.  The package needs nothing beyond the standard library: it
+declares no runtime dependency and a verify run imports no numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "talex"
@@ -98,3 +104,18 @@ def test_detects_a_method_without_caller():
     }
     others = ["from m import A\n\nA().api()\n"]
     assert unreferenced_methods(package, others) == ["A.dead"]
+
+
+def test_runtime_needs_only_the_standard_library():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"].get("dependencies", []) == []
+    script = ("import sys\n"
+              "from talex.cli import main\n"
+              "code = main(['verify', '--case', 'a4', '--knot', '8_18'])\n"
+              "print('exit', code, 'numpy loaded', 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit 0 numpy loaded False"

@@ -140,11 +140,16 @@ class TestEvaluateRepPhi:
                     assert evaluate_rep_phi(d, f, rep, domain) == \
                         dense_rep_phi(d, f, rep, domain), (name, r, j)
 
-    def test_group_mismatch(self):
-        f = Homomorphism(dihedral(3), (3,))
-        rep = regular_representation(cyclic(2))
-        with pytest.raises(ValueError, match="differ"):
-            evaluate_rep_phi({(): 1}, f, rep, INTEGERS)
+    def test_group_mismatch(self, trefoil):
+        # both routes refuse a representation of another group: the
+        # equal-image one (every meridian onto one element of C5) and the
+        # block-matrix one (a surjection onto D3)
+        rep = regular_representation(cyclic(7))
+        equal_image = Homomorphism(cyclic(5), (1, 1, 1))
+        onto_d3 = find_meridional_surjections(trefoil, dihedral(3))[0]
+        for f in (equal_image, onto_d3):
+            with pytest.raises(ValueError, match="differ"):
+                wada_invariant(trefoil, f, rep)
 
 
 class TestWadaInvariant:
