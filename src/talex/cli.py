@@ -40,7 +40,7 @@ from .groups import (
 from .homsearch import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    conjugacy_representatives,
+    conjugates,
     find_meridional_surjections,
 )
 from .knots import KnotTableError, bundled_table_path, load_knot_table
@@ -291,23 +291,25 @@ def cmd_surjections(args) -> int:
     for name in names:
         pres = table[name]
         try:
-            all_surj = find_meridional_surjections(
-                pres, group, up_to_conjugacy=False, budget=args.budget)
+            reps = find_meridional_surjections(
+                pres, group, up_to_conjugacy=True, budget=args.budget)
         except BudgetExceededError as exc:
             worst = max(worst, EXIT_BUDGET)
             results.append({"knot": name, "group": group.name,
                             "error": str(exc)})
             lines.append(f"{name} -> {group.name}: {exc}")
             continue
-        if not all_surj:
+        if not reps:
             worst = max(worst, EXIT_NO_SURJECTION)
-        reps = conjugacy_representatives(all_surj)
+        orbits = [conjugates(group, h.images) for h in reps]
+        count = sum(map(len, orbits))
+        listed = ([h.images for h in reps] if args.up_to_conjugacy
+                  else sorted(set().union(*orbits)))
         results.append({
-            "knot": name, "group": group.name, "count": len(all_surj),
+            "knot": name, "group": group.name, "count": count,
             "count_up_to_conjugacy": len(reps),
-            "surjections": [list(h.images) for h in
-                            (reps if args.up_to_conjugacy else all_surj)]})
-        lines.append(f"{name} -> {group.name}: {len(all_surj)} surjections "
+            "surjections": [list(images) for images in listed]})
+        lines.append(f"{name} -> {group.name}: {count} surjections "
                      f"({len(reps)} up to conjugacy)")
     _emit(args, "surjections",
           {"knots": names, "group": args.group,
@@ -405,9 +407,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

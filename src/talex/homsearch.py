@@ -4,9 +4,10 @@ onto a finite group.
 Every Wirtinger generator of a knot group is a meridian, and all meridians
 are conjugate, so a homomorphism onto G sends every generator into a
 single conjugacy class C; surjectivity further forces the normal closure
-of C to be all of G.  The search therefore runs class by class, assigning
-generators to members of C by backtracking, checking each relator as soon
-as its last generator receives a value.
+of C to be all of G.  The search therefore runs class by class, fixing x_1
+to the least member of C and assigning x_2..x_m to members of C by
+backtracking, checking each relator as soon as its last generator
+receives a value.
 """
 
 from __future__ import annotations
@@ -46,13 +47,10 @@ def evaluate_word(group: FiniteGroup, images, word) -> int:
     return acc
 
 
-def _canonical_under_conjugation(group: FiniteGroup, images) -> tuple[int, ...]:
-    best = None
-    for g in range(group.order):
-        cand = tuple(group.conjugate(x, g) for x in images)
-        if best is None or cand < best:
-            best = cand
-    return best
+def conjugates(group: FiniteGroup, images) -> set[tuple[int, ...]]:
+    """The orbit of an image tuple under simultaneous conjugation."""
+    return {tuple(group.conjugate(x, g) for x in images)
+            for g in range(group.order)}
 
 
 def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
@@ -62,9 +60,17 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
     """All surjections sending every generator into one conjugacy class.
 
     Output is deterministic: homomorphisms sorted by their image tuples,
-    one canonical representative per simultaneous-conjugation orbit when
-    up_to_conjugacy is set.  Raises BudgetExceededError rather than
-    silently truncating.
+    with up_to_conjugacy the least member of each simultaneous-conjugation
+    orbit, and otherwise the union of those orbits.  The search finds the
+    least members directly.  Let r = min C for the class C of the images.
+    Every orbit has members with x_1 = r, since x_1 can be conjugated to
+    r, and they form one orbit of the centralizer C_G(r).  The orbit's
+    least member has x_1 = r, because r = min C, so it is the least
+    C_G(r)-conjugate of any surjection found with x_1 = r.
+
+    The budget bounds the nodes of this tree: one for x_1 = r, and one
+    per member of C tried at x_2..x_m.  Raises BudgetExceededError rather
+    than silently truncating.
     """
     if not pres.meridional:
         raise ValueError("surjection search needs a meridional presentation")
@@ -78,20 +84,27 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
             relators_at[max(abs(letter) for letter in r)].append(r)
 
     nodes = 0
-    found: list[tuple[int, ...]] = []
+    found: set[tuple[int, ...]] = set()
     for cls in group.conjugacy_classes():
-        if len(group.normal_closure(cls.representative)) != group.order:
+        rep = cls.representative
+        if len(group.normal_closure(rep)) != group.order:
             continue
         members = sorted(cls.members)
         images = [0] * m
+        centralizer = None  # C_G(rep), built at the class's first surjection
 
         def assign(pos: int):
-            nonlocal nodes
+            nonlocal nodes, centralizer
             if pos == m:
                 if len(group.subgroup_generated(images)) == group.order:
-                    found.append(tuple(images))
+                    if centralizer is None:
+                        cayley = group.cayley
+                        centralizer = [g for g in range(group.order)
+                                       if cayley[g][rep] == cayley[rep][g]]
+                    found.add(min(tuple(group.conjugate(x, g) for x in images)
+                                  for g in centralizer))
                 return
-            for g in members:
+            for g in members if pos else (rep,):
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceededError(budget)
@@ -103,23 +116,9 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
 
         assign(0)
 
-    found.sort()
-    homs = [Homomorphism(group, images) for images in found]
-    return conjugacy_representatives(homs) if up_to_conjugacy else homs
-
-
-def conjugacy_representatives(homs: list[Homomorphism]
-                              ) -> list[Homomorphism]:
-    """The first homomorphism of each simultaneous-conjugation orbit, in
-    input order."""
-    reps = []
-    seen = set()
-    for h in homs:
-        canon = _canonical_under_conjugation(h.group, h.images)
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(h)
-    return reps
+    if not up_to_conjugacy:
+        found = set().union(*(conjugates(group, f) for f in found))
+    return [Homomorphism(group, images) for images in sorted(found)]
 
 
 def extends_to_automorphism(group: FiniteGroup, src, dst) -> bool:

@@ -119,8 +119,8 @@ class TheoremCase:
         return f"{self.name}({params}){mod}"
 
 
-def _odd_prime(p: int, what: str) -> int:
-    if not _is_prime(p) or p == 2:
+def _odd_prime(p: int | None, what: str) -> int:
+    if p is None or not _is_prime(p) or p == 2:
         raise ValueError(f"{what} requires an odd prime, got {p}")
     return p
 

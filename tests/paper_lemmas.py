@@ -137,6 +137,22 @@ def brute_force_surjections(pres: KnotPresentation, group: FiniteGroup
     return [Homomorphism(group, images) for images in out]
 
 
+def conjugation_orbit_minima(homs: list[Homomorphism]
+                             ) -> list[Homomorphism]:
+    """Oracle for the search's up_to_conjugacy output: the first member, in
+    sorted order, of each simultaneous-conjugation orbit, found by
+    canonicalising every homomorphism over all |G| conjugates."""
+    reps, seen = [], set()
+    for h in sorted(homs, key=lambda h: h.images):
+        g = h.group
+        canon = min(tuple(g.conjugate(x, by) for x in h.images)
+                    for by in range(g.order))
+        if canon not in seen:
+            seen.add(canon)
+            reps.append(h)
+    return reps
+
+
 def extends_to_automorphism_all_pairs(group: FiniteGroup, src, dst) -> bool:
     """Oracle for homsearch.extends_to_automorphism: the same walk from the
     identity, followed by the homomorphism law checked on all |G|^2

@@ -10,7 +10,7 @@ from talex.algebra import (
     prime_field,
     rational_normalize,
 )
-from talex.cli import main
+from talex.cli import main, parse_group_spec
 from talex.groups import cyclic
 
 
@@ -156,6 +156,19 @@ class TestVerify:
                            "4", "--knot", "3_1")
         assert code == 3 and "odd prime" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--case", "dihedral"),
+        ("--case", "dicyclic"),
+        ("--case", "conjecture", "--experimental"),
+        ("--case", "dihedral_times_cyclic", "--m", "3"),
+        ("--case", "metacyclic", "--m", "3", "--k", "2"),
+    ], ids=["dihedral", "dicyclic", "conjecture", "dihedral_times_cyclic",
+            "metacyclic"])
+    def test_missing_p_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--knot", "3_1")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "odd prime" in err
+
     def test_dihedral_times_even_cyclic_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--case",
                            "dihedral_times_cyclic", "--p", "3", "--m", "2",
@@ -242,6 +255,21 @@ class TestSurjections:
         assert f"{rec['count']} surjections" in out
         assert f"({rec['count_up_to_conjugacy']} up to conjugacy)" in out
         assert rec["count"] == 6 and rec["count_up_to_conjugacy"] == 1
+
+    @pytest.mark.parametrize("spec", ["A4", "D3sC3", "Dic5", "G(3,7|2)"])
+    def test_count_is_orbits_times_orbit_size(self, capsys, spec):
+        # a surjection's centralizer is the center Z(G), so every
+        # conjugation orbit has |G| / |Z(G)| members
+        g = parse_group_spec(spec)
+        center = [z for z in g.elements()
+                  if all(g.mul(z, x) == g.mul(x, z) for x in g.elements())]
+        code, report, _ = run_json(capsys, "surjections", "--all-knots",
+                                   "--group", spec)
+        assert code in (0, 2)
+        assert any(r["count"] for r in report["results"])
+        for r in report["results"]:
+            assert r["count"] * len(center) == \
+                r["count_up_to_conjugacy"] * g.order
 
     def test_klein_four_rejected_with_hint(self, capsys):
         code, _, err = run(capsys, "surjections", "--knot", "3_1",
@@ -382,6 +410,19 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv, "--budget", budget)
         assert code == 3 and out == ""
         assert err.startswith("error: talex") and "--budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--group", "D3"),
+        ("verify", "--case", "dihedral", "--p", "3"),
+        ("surjections", "--group", "D3"),
+    ], ids=["compute", "verify", "surjections"])
+    def test_budget_exceeded_reported_per_knot(self, capsys, argv):
+        # each command catches the search's budget error knot by knot
+        code, report, _ = run_json(capsys, *argv, "--knot", "3_1",
+                                   "--knot", "8_18", "--budget", "1")
+        assert code == 4
+        assert [r["knot"] for r in report["results"]] == ["3_1", "8_18"]
+        assert all("error" in r for r in report["results"])
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):

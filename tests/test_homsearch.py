@@ -5,6 +5,7 @@ import pytest
 
 from paper_lemmas import (
     brute_force_surjections,
+    conjugation_orbit_minima,
     extends_to_automorphism_all_pairs,
     satisfies_relators,
 )
@@ -15,17 +16,18 @@ from talex.groups import (
     dicyclic,
     dihedral,
     direct_product,
+    dp_semidirect_cp,
     metacyclic,
 )
 from talex.homsearch import (
     BudgetExceededError,
     Homomorphism,
-    conjugacy_representatives,
     evaluate_word,
     extends_to_automorphism,
     find_meridional_surjections,
     regular_equivalence_classes,
 )
+from talex.knots import KnotPresentation, simplify_presentation
 
 
 class TestEvaluateWord:
@@ -109,7 +111,6 @@ class TestSearch:
             find_meridional_surjections(table["8_18"], dihedral(3), budget=10)
 
     def test_requires_meridional(self):
-        from talex.knots import KnotPresentation
         pres = KnotPresentation(2, ((1, 1, -2, -2),), meridional=False)
         with pytest.raises(ValueError, match="meridional"):
             find_meridional_surjections(pres, dihedral(3))
@@ -131,6 +132,44 @@ class TestSearch:
             pres = table[name]
             assert find_meridional_surjections(pres, group) == \
                 brute_force_surjections(pres, group)
+
+    @pytest.mark.parametrize("group", [
+        cyclic(5), cyclic(12), dihedral(3), dihedral(5), dicyclic(3),
+        dicyclic(5), alternating4(), metacyclic(3, 7, 2),
+        d3_semidirect_c3()], ids=lambda g: g.name)
+    def test_orbit_minima_match_oracle(self, table, group):
+        for name in ("3_1", "4_1", "5_2", "6_1", "7_4", "8_18"):
+            pres = table[name]
+            assert find_meridional_surjections(
+                pres, group, up_to_conjugacy=True) == \
+                conjugation_orbit_minima(brute_force_surjections(pres, group))
+
+    def test_orbit_minima_on_a_connected_sum(self, table):
+        # 3_1 # 3_1: both presentations with the meridians x_1 = y_1
+        a = table["3_1"]
+        shift = a.generators
+        relators = a.relators + tuple(
+            tuple(x + shift if x > 0 else x - shift for x in r)
+            for r in a.relators) + ((1, -(shift + 1)),)
+        pres = simplify_presentation(
+            KnotPresentation(2 * shift, relators))
+        g = d3_semidirect_c3()
+        minima = find_meridional_surjections(pres, g, up_to_conjugacy=True)
+        assert len(minima) == 24
+        assert minima == conjugation_orbit_minima(
+            brute_force_surjections(pres, g))
+
+    @pytest.mark.parametrize("group", [
+        dihedral(25), dihedral(27), dp_semidirect_cp(5)],
+        ids=lambda g: g.name)
+    def test_one_x1_per_class(self, table, group):
+        # x_1 is fixed to its class's least element, so exhausting these
+        # two-generator trees takes 1 + |C| <= |G| nodes, not |C| + |C|^2
+        for name in ("5_2", "6_1"):
+            for up_to_conjugacy in (False, True):
+                assert find_meridional_surjections(
+                    table[name], group, up_to_conjugacy=up_to_conjugacy,
+                    budget=group.order) == []
 
 
 class TestRegularEquivalence:
@@ -154,7 +193,8 @@ class TestRegularEquivalence:
                       d3_semidirect_c3()):
                 homs = find_meridional_surjections(table[name], g)
                 pairs += [(g, src.images, dst.images)
-                          for src in conjugacy_representatives(homs)
+                          for src in find_meridional_surjections(
+                              table[name], g, up_to_conjugacy=True)
                           for dst in homs]
         rng = random.Random(7)
         for g in (cyclic(12), metacyclic(3, 7, 2)):

@@ -188,6 +188,13 @@ class TestCases:
         with pytest.raises(ValueError, match="unknown case"):
             TheoremCase("nope", (), None)
 
+    @pytest.mark.parametrize("name", [
+        "dihedral", "dicyclic", "dihedral_times_cyclic", "metacyclic",
+        "conjecture"])
+    def test_missing_p_rejected(self, name):
+        with pytest.raises(ValueError, match="odd prime"):
+            make_case(name)
+
     def test_group_for_case(self):
         assert group_for_case(make_case("dihedral", p=3, n=2)).order == 18
         assert group_for_case(make_case("a4")).order == 12
