@@ -9,6 +9,9 @@ every order: rows and columns must be permutations, and associativity is
 checked exactly by Light's test, (x*g)*y = x*(g*y) for all x, y and every
 g in a generating set built greedily from the table, in O(n^2 |gens|).
 
+Conjugation is decided here alone: the conjugacy classes, and whether
+each generates the group, are read once from inner_automorphisms().
+
 Representations are by permutation matrices and are stored as column
 maps: perms[g][j] is the row of the single 1 in column j of the image of g.
 The regular representation's column maps are the rows of the Cayley
@@ -45,6 +48,7 @@ class FiniteGroup:
         self._validate()
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
+        self._inner: tuple[tuple[int, ...], ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
 
     # -- construction-time checks ----------------------------------------
@@ -164,19 +168,33 @@ class FiniteGroup:
 
     # -- structure ---------------------------------------------------------
 
+    def inner_automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct maps x -> g x g^-1, in order of the least g giving
+        each: one per coset of the center, since g and g' give the same map
+        exactly when g^-1 g' is central.  Each map reads row g of the Cayley
+        table and then column g^-1, two lookups per entry."""
+        if self._inner is None:
+            c = self.cayley
+            self._inner = tuple(dict.fromkeys(
+                tuple(c[y][ginv] for y in c[g])
+                for g, ginv in enumerate(self.inverses)))
+        return self._inner
+
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
+        """The classes in order of their least members: the first element
+        not yet seen is the least member of its class."""
         if self._classes is None:
             seen = [False] * self.order
             classes = []
             for g in range(self.order):
                 if seen[g]:
                     continue
-                members = {self.conjugate(g, by) for by in range(self.order)}
+                members = frozenset(a[g] for a in self.inner_automorphisms())
                 for m in members:
                     seen[m] = True
-                classes.append(ConjugacyClass(min(members),
-                                              frozenset(members)))
-            classes.sort(key=lambda c: c.representative)
+                classes.append(ConjugacyClass(
+                    g, members,
+                    len(self.subgroup_generated(members)) == self.order))
             self._classes = tuple(classes)
         return self._classes
 
@@ -193,21 +211,12 @@ class FiniteGroup:
                     frontier.append(y)
         return frozenset(seen)
 
-    def normal_closure(self, g: int) -> frozenset[int]:
-        members = {self.conjugate(g, by) for by in range(self.order)}
-        return self.subgroup_generated(members)
-
     def is_normally_generated_by_one(self) -> int | None:
         """Smallest element whose conjugacy class generates the whole group,
-        or None.  A knot group only surjects onto groups that have one."""
-        if self.order == 1:
-            return self.identity
-        for g in range(self.order):
-            if g == self.identity:
-                continue
-            if len(self.normal_closure(g)) == self.order:
-                return g
-        return None
+        or None.  A knot group only surjects onto groups that have one.
+        The identity's class generates only the trivial group."""
+        return next((cls.representative for cls in self.conjugacy_classes()
+                     if cls.generates), None)
 
     def commutator_subgroup(self) -> frozenset[int]:
         """G' = <g h g^-1 h^-1 : g, h in G>."""
@@ -224,8 +233,11 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
+    """A class, its least member, and whether it generates the group."""
+
     representative: int
     members: frozenset[int]
+    generates: bool
 
     def __len__(self):
         return len(self.members)

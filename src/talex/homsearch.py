@@ -3,11 +3,11 @@ onto a finite group.
 
 Every Wirtinger generator of a knot group is a meridian, and all meridians
 are conjugate, so a homomorphism onto G sends every generator into a
-single conjugacy class C; surjectivity further forces the normal closure
-of C to be all of G.  The search therefore runs class by class, fixing x_1
-to the least member of C and assigning x_2..x_m to members of C by
-backtracking, checking each relator as soon as its last generator
-receives a value.
+single conjugacy class C; surjectivity further forces C to generate G
+(ConjugacyClass.generates).  The search therefore runs class by class,
+fixing x_1 to the least member of C and assigning x_2..x_m to members of
+C by backtracking, checking each relator as soon as its last generator
+receives a value.  Conjugation reads FiniteGroup.inner_automorphisms().
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def evaluate_word(group: FiniteGroup, images, word) -> int:
 
 def conjugates(group: FiniteGroup, images) -> set[tuple[int, ...]]:
     """The orbit of an image tuple under simultaneous conjugation."""
-    return {tuple(group.conjugate(x, g) for x in images)
-            for g in range(group.order)}
+    return {tuple(a[x] for x in images) for a in group.inner_automorphisms()}
 
 
 def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
@@ -66,7 +65,9 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
     Every orbit has members with x_1 = r, since x_1 can be conjugated to
     r, and they form one orbit of the centralizer C_G(r).  The orbit's
     least member has x_1 = r, because r = min C, so it is the least
-    C_G(r)-conjugate of any surjection found with x_1 = r.
+    C_G(r)-conjugate of any surjection found with x_1 = r.  C_G(r) acts
+    through the inner automorphisms that fix r, one per coset of Z(G):
+    on an abelian G, the identity map alone.
 
     The budget bounds the nodes of this tree: one for x_1 = r, and one
     per member of C tried at x_2..x_m.  Raises BudgetExceededError rather
@@ -86,23 +87,19 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
     nodes = 0
     found: set[tuple[int, ...]] = set()
     for cls in group.conjugacy_classes():
-        rep = cls.representative
-        if len(group.normal_closure(rep)) != group.order:
+        if not cls.generates:
             continue
+        rep = cls.representative
         members = sorted(cls.members)
+        fixing = [a for a in group.inner_automorphisms() if a[rep] == rep]
         images = [0] * m
-        centralizer = None  # C_G(rep), built at the class's first surjection
 
         def assign(pos: int):
-            nonlocal nodes, centralizer
+            nonlocal nodes
             if pos == m:
                 if len(group.subgroup_generated(images)) == group.order:
-                    if centralizer is None:
-                        cayley = group.cayley
-                        centralizer = [g for g in range(group.order)
-                                       if cayley[g][rep] == cayley[rep][g]]
-                    found.add(min(tuple(group.conjugate(x, g) for x in images)
-                                  for g in centralizer))
+                    found.add(min(tuple(a[x] for x in images)
+                                  for a in fixing))
                 return
             for g in members if pos else (rep,):
                 nodes += 1
@@ -121,41 +118,11 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
     return [Homomorphism(group, images) for images in sorted(found)]
 
 
-def extends_to_automorphism(group: FiniteGroup, src, dst) -> bool:
-    """True iff the assignment src[i] -> dst[i] extends to an automorphism
-    of the whole group (src must generate).
-
-    The walk from e sets sigma(x s) = sigma(x) d for every reached x and
-    every pair (s, d), and fails on any conflict.  In a finite group every
-    element is a positive word in src, so with sigma(e) = e, induction on
-    the length of w gives sigma(x w) = sigma(x) sigma(w) once the walk
-    has reached all of G: sigma is a homomorphism, and a bijective one is
-    an automorphism.  No check of the law over all |G|^2 pairs is needed.
-    """
-    e = group.identity
-    sigma = {e: e}
-    frontier = [e]
-    while frontier:
-        x = frontier.pop()
-        sx = sigma[x]
-        for s, d in zip(src, dst):
-            y = group.mul(x, s)
-            z = group.mul(sx, d)
-            prior = sigma.get(y)
-            if prior is None:
-                sigma[y] = z
-                frontier.append(y)
-            elif prior != z:
-                return False
-    if len(sigma) != group.order:
-        return False
-    return len(set(sigma.values())) == group.order
-
-
 def regular_equivalence_classes(homs: list[Homomorphism]
                                 ) -> list[list[Homomorphism]]:
     """Partition surjections into classes whose compositions with the
-    regular representation are conjugate representations.
+    regular representation are conjugate representations, in the order
+    of each class's first member, members in input order.
 
     Two surjections related by f' = sigma . f for an automorphism sigma
     give conjugate compositions: reg(sigma(g)) = Q reg(g) Q^-1 for the
@@ -166,15 +133,33 @@ def regular_equivalence_classes(homs: list[Homomorphism]
     one member per class and hands the result to every member, and
     verify, compute and the nonvanishing sweep take their per-surjection
     results from it.
+
+    Each class is keyed by the Cayley graph of its images s_1..s_m:
+    number G by a breadth-first walk from e that visits x * s_1, ...,
+    x * s_m for each reached x in turn, and list the number of x * s_i
+    for every reached x and every i.  The keys of s and s' agree exactly
+    when an automorphism sends s to s':
+    - an automorphism sigma with sigma(s_i) = s'_i carries one walk onto
+      the other, so the keys agree;
+    - conversely, equal keys give a bijection phi of G (both walks reach
+      all of G) with phi(e) = e and phi(x * s_i) = phi(x) * s'_i; every
+      element is a positive word w in the s_i, so phi(x * w) = phi(x) *
+      phi(w) by induction on the length of w, and phi is an automorphism
+      that sends s to s'.
     """
-    classes: list[list[Homomorphism]] = []
+    classes: dict[tuple, list[Homomorphism]] = {}
     for h in homs:
-        for cls in classes:
-            first = cls[0]
-            if first.group is h.group and extends_to_automorphism(
-                    h.group, first.images, h.images):
-                cls.append(h)
-                break
-        else:
-            classes.append([h])
-    return classes
+        cayley, e = h.group.cayley, h.group.identity
+        number = [-1] * h.group.order
+        number[e] = 0
+        walk, key = [e], []
+        for x in walk:
+            row = cayley[x]
+            for s in h.images:
+                k = number[row[s]]
+                if k < 0:
+                    k = number[row[s]] = len(walk)
+                    walk.append(row[s])
+                key.append(k)
+        classes.setdefault((h.group, tuple(key)), []).append(h)
+    return list(classes.values())

@@ -26,11 +26,11 @@ any F_p; for the regular representation and f(x_j) of order k it is
 
 For the regular representation, surjections f and sigma.f that differ by
 an automorphism sigma of G give invariants that agree exactly, unreduced
-numerator and denominator included (see
-homsearch.regular_equivalence_classes).  ``invariants`` is the one place
-that uses this: it builds the regular representation itself, evaluates
-one member per automorphism class, and hands every surjection its
-class's result.
+numerator and denominator included; homsearch.regular_equivalence_classes
+keys each class by a Cayley graph and proves that the key decides it.
+``invariants`` is the one place that uses this: it builds the regular
+representation itself, evaluates one member per automorphism class, and
+hands every surjection its class's result.
 
 Block rows are ordered by (relator, representation row) and block columns
 by (kept generator ascending, representation column).
@@ -196,10 +196,10 @@ def invariants(pres: KnotPresentation, group: FiniteGroup,
     with each surjection in ``homs``, in the order of ``homs``.
 
     ``wada_invariant`` runs once per automorphism class of
-    ``regular_equivalence_classes``, on the class's first member, and
-    every member gets that result object: the members' invariants agree
-    exactly.  So the number of distinct results is the number of Wada
-    evaluations.
+    ``regular_equivalence_classes`` (one Cayley-graph key per surjection),
+    on the class's first member, and every member gets that result
+    object: the members' invariants agree exactly.  So the number of
+    distinct results is the number of Wada evaluations.
     """
     rep = regular_representation(group)
     result_of = {}

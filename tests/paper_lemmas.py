@@ -154,9 +154,10 @@ def conjugation_orbit_minima(homs: list[Homomorphism]
 
 
 def extends_to_automorphism_all_pairs(group: FiniteGroup, src, dst) -> bool:
-    """Oracle for homsearch.extends_to_automorphism: the same walk from the
-    identity, followed by the homomorphism law checked on all |G|^2
-    pairs rather than derived from the generators."""
+    """Oracle for the automorphism classes of
+    homsearch.regular_equivalence_classes: whether src[i] -> dst[i]
+    extends to an automorphism, by a walk from the identity followed by
+    the homomorphism law checked on all |G|^2 pairs."""
     e = group.identity
     sigma = {e: e}
     frontier = [e]

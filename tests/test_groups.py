@@ -22,6 +22,11 @@ from talex.groups import (
 from talex.theorems import catalog_under_24
 
 
+def class_of(g: FiniteGroup, x: int):
+    """The conjugacy class of g that contains x."""
+    return next(c for c in g.conjugacy_classes() if x in c.members)
+
+
 def isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
     """Exhaustive isomorphism search with order-profile pruning; oracle
     for small groups only."""
@@ -181,10 +186,11 @@ class TestCatalog:
     def test_alternating4_normal_generators(self):
         g = alternating4()
         a, b = g.label("a"), g.label("b")
-        assert len(g.normal_closure(a)) == g.order
-        assert len(g.normal_closure(g.power(a, 2))) == g.order
-        assert len(g.normal_closure(b)) != g.order
-        assert len(g.normal_closure(b)) == 4
+        assert class_of(g, a).generates
+        assert class_of(g, g.power(a, 2)).generates
+        assert not class_of(g, b).generates
+        assert len(g.subgroup_generated(class_of(g, b).members)) != g.order
+        assert len(g.subgroup_generated(class_of(g, b).members)) == 4
 
     def test_d3_semidirect_c3(self):
         g = d3_semidirect_c3()
@@ -194,7 +200,8 @@ class TestCatalog:
         assert g.mul(a, b) == g.mul(b, a)
         assert g.mul(c, g.mul(a, c)) == g.inv(a)
         assert g.mul(c, g.mul(b, c)) == g.inv(b)
-        assert len(g.normal_closure(c)) == g.order
+        assert class_of(g, c).generates
+        assert len(g.subgroup_generated(class_of(g, c).members)) == g.order
 
     def test_dp_semidirect_cp_matches_s9_realization(self):
         assert isomorphic(dp_semidirect_cp(3), d3_semidirect_c3())
@@ -255,6 +262,8 @@ class TestStructure:
                          if x != g.identity or g.order == 1
                          if closes(x)), None)
         assert g.is_normally_generated_by_one() == expected
+        for cls in g.conjugacy_classes():
+            assert cls.generates == closes(cls.representative), cls
 
     @pytest.mark.parametrize("g", ALL_SMALL, ids=lambda g: g.name)
     def test_element_order_divides_group_order(self, g):
@@ -269,6 +278,20 @@ class TestStructure:
         assert dic3.element_order(dic3.label("b")) == 4
         m = metacyclic(3, 7, 2)
         assert m.element_order(m.label("a")) == 7
+
+    def test_inner_automorphisms_are_one_per_center_coset(self):
+        for g in catalog_and_large():
+            elements = list(g.elements())
+            center = [z for z in elements
+                      if all(g.mul(z, x) == g.mul(x, z) for x in elements)]
+            inner = g.inner_automorphisms()
+            assert len(inner) == len(set(inner)), g.name
+            assert len(inner) * len(center) == g.order, g.name
+            assert set(inner) == {
+                tuple(g.conjugate(x, by) for x in elements)
+                for by in elements}, g.name
+            if len(center) == g.order:
+                assert inner == (tuple(elements),), g.name
 
 
 def catalog_and_large() -> list[FiniteGroup]:

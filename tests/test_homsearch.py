@@ -10,6 +10,7 @@ from paper_lemmas import (
     satisfies_relators,
 )
 from talex.groups import (
+    FiniteGroup,
     alternating4,
     cyclic,
     d3_semidirect_c3,
@@ -23,7 +24,6 @@ from talex.homsearch import (
     BudgetExceededError,
     Homomorphism,
     evaluate_word,
-    extends_to_automorphism,
     find_meridional_surjections,
     regular_equivalence_classes,
 )
@@ -172,21 +172,66 @@ class TestSearch:
                     budget=group.order) == []
 
 
+def same_class(group, src, dst) -> bool:
+    """Whether regular_equivalence_classes puts src and dst together."""
+    homs = [Homomorphism(group, tuple(src)), Homomorphism(group, tuple(dst))]
+    return len(regular_equivalence_classes(homs)) == 1
+
+
+def oracle_classes(homs):
+    """The automorphism classes built pairwise with the all-pairs oracle:
+    each surjection joins the first class whose first member it extends."""
+    classes = []
+    for h in homs:
+        for cls in classes:
+            if extends_to_automorphism_all_pairs(h.group, cls[0].images,
+                                                 h.images):
+                cls.append(h)
+                break
+        else:
+            classes.append([h])
+    return classes
+
+
+class TestGroupFactsOnce:
+    @pytest.mark.parametrize("knot, make_group", [
+        ("8_18", lambda: cyclic(19)), ("8_18", alternating4),
+        ("5_2", lambda: dihedral(25))], ids=["C19", "A4", "D25"])
+    def test_second_search_conjugates_nothing(self, table, monkeypatch,
+                                              knot, make_group):
+        # classes, whether they generate, and conjugation are group facts:
+        # the first search computes them and the second only reads them
+        calls = []
+        conjugate = FiniteGroup.conjugate
+
+        def counted(self, g, by):
+            calls.append((g, by))
+            return conjugate(self, g, by)
+
+        monkeypatch.setattr(FiniteGroup, "conjugate", counted)
+        group = make_group()
+        first = find_meridional_surjections(table[knot], group)
+        del calls[:]
+        assert find_meridional_surjections(table[knot], group) == first
+        assert calls == []
+
+
 class TestRegularEquivalence:
     def test_automorphism_extension_on_conjugates(self, trefoil):
         g = dihedral(3)
         surj = find_meridional_surjections(trefoil, g)
         base = surj[0]
         for other in surj[1:]:
-            assert extends_to_automorphism(g, base.images, other.images)
+            assert same_class(g, base.images, other.images)
 
     def test_rejects_non_automorphism(self):
         g = cyclic(4)
         # 1 -> 2 does not extend (2 has order 2)
-        assert not extends_to_automorphism(g, (1,), (2,))
+        assert not same_class(g, (1,), (2,))
 
     def test_matches_all_pairs_oracle(self, table):
-        # the walk's generator checks replace the |G|^2 homomorphism check
+        # the Cayley-graph keys of [src, dst] agree exactly when the
+        # oracle's walk, checked on all |G|^2 pairs, is an automorphism
         pairs = []
         for name in ("3_1", "4_1", "8_18"):
             for g in (dihedral(3), alternating4(), dicyclic(3),
@@ -205,10 +250,21 @@ class TestRegularEquivalence:
                 src = rng.choice(sources)
                 dst = tuple(rng.randrange(g.order) for _ in src)
                 pairs.append((g, src, dst))
-        outcomes = [extends_to_automorphism(*pair) for pair in pairs]
+        outcomes = [same_class(*pair) for pair in pairs]
         assert outcomes == [extends_to_automorphism_all_pairs(*pair)
                             for pair in pairs]
         assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("knot, group, count", [
+        ("8_18", alternating4(), 5), ("8_18", d3_semidirect_c3(), 1),
+        ("6_1", metacyclic(3, 7, 2), None), ("3_1", dicyclic(3), None)],
+        ids=lambda v: getattr(v, "name", v))
+    def test_partition_of_every_surjection(self, table, knot, group, count):
+        homs = find_meridional_surjections(table[knot], group)
+        classes = regular_equivalence_classes(homs)
+        assert classes == oracle_classes(homs)
+        if count is not None:
+            assert len(classes) == count
 
     def test_cyclic_surjections_collapse(self, table):
         g = cyclic(23)

@@ -4,8 +4,10 @@ talex.__all__.  Code that only the tests call, such as the paper's proof
 lemmas and the slow oracles, lives in tests/paper_lemmas.py.  Every method
 of a package class is referenced by name somewhere in the package, the
 tests or the benchmark, so no method is kept for a caller that does not
-exist.  The package needs nothing beyond the standard library: it
-declares no runtime dependency and a verify run imports no numpy."""
+exist.  Conjugation is decided in groups.py alone: nothing in the package
+outside FiniteGroup calls ``.conjugate``.  The package needs nothing
+beyond the standard library: it declares no runtime dependency and a
+verify run imports no numpy."""
 
 import ast
 import os
@@ -104,6 +106,39 @@ def test_detects_a_method_without_caller():
     }
     others = ["from m import A\n\nA().api()\n"]
     assert unreferenced_methods(package, others) == ["A.dead"]
+
+
+def conjugate_references(sources: dict[str, str]) -> list[str]:
+    """file:line of every ``.conjugate`` attribute outside the body of the
+    class FiniteGroup."""
+    found = []
+    for filename, source in sources.items():
+        tree = ast.parse(source)
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  and cls.name == "FiniteGroup" for node in ast.walk(cls)}
+        found += [f"{filename}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "conjugate" and id(node) not in inside]
+    return found
+
+
+def test_conjugation_is_decided_in_groups():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert conjugate_references(sources) == []
+
+
+def test_detects_a_conjugate_call():
+    sources = {
+        "groups.py": ("class FiniteGroup:\n"
+                      "    def conjugate(self, g, by):\n        return g\n\n"
+                      "    def classes(self):\n"
+                      "        return {self.conjugate(0, b) for b in 'ab'}\n"),
+        "search.py": ("def orbit(group, images):\n"
+                      "    return [group.conjugate(x, 1) for x in images]\n"),
+    }
+    assert conjugate_references(sources) == ["search.py:2"]
 
 
 def test_runtime_needs_only_the_standard_library():
