@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -339,6 +340,33 @@ def _divexact_int(num: list[int], den: list[int]) -> list[int]:
     if any(num):
         raise ArithmeticError("inexact polynomial division")
     return quo
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d in ascending coefficients: x^d - 1 divided exactly by Phi_e
+    for every proper divisor e of d."""
+    phi = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            phi = _divexact_int(phi, _cyclotomic(e))
+    return tuple(phi)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_residues(d: int) -> tuple[tuple[int, ...], ...]:
+    """x^n mod Phi_d for n = 0..d-1, each as its phi(d) integer
+    coefficients on 1, x, ..., x^(phi(d)-1).  Since x^d = 1 mod Phi_d,
+    column j of the matrix of multiplication by x^e on ZZ[x]/Phi_d is
+    entry (e + j) mod d.  Each entry is x times the one before, with
+    x^phi(d) replaced by x^phi(d) - Phi_d (Phi_d is monic)."""
+    phi = _cyclotomic(d)
+    x = [1] + [0] * (len(phi) - 2)
+    out = []
+    for _ in range(d):
+        out.append(tuple(x))
+        x = [c - x[-1] * q for c, q in zip([0] + x[:-1], phi)]
+    return tuple(out)
 
 
 def _content(cs: Sequence[int]) -> int:

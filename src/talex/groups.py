@@ -15,7 +15,11 @@ each generates the group, are read once from inner_automorphisms().
 Representations are by permutation matrices and are stored as column
 maps: perms[g][j] is the row of the single 1 in column j of the image of g.
 The regular representation's column maps are the rows of the Cayley
-table, so it costs no storage beyond the group.
+table, so it costs no storage beyond the group.  Its splitting along a
+cyclic subgroup <a>, FiniteGroup.regular_factors, has block-monomial
+factors: column maps on the cosets of <a>, and one exponent e per block
+column for the block of multiplication by x^e on ZZ[x]/Phi_d.  Like the
+conjugation table, it is built once per group, on first use.
 
 Element index conventions:
 
@@ -31,6 +35,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+from .algebra import cyclotomic_residues
 
 
 class GroupValidationError(ValueError):
@@ -50,6 +56,7 @@ class FiniteGroup:
         self.inverses = self._find_inverses()
         self._inner: tuple[tuple[int, ...], ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
+        self._split: tuple[MatrixRep, ...] | None = None
 
     # -- construction-time checks ----------------------------------------
 
@@ -179,6 +186,47 @@ class FiniteGroup:
                 tuple(c[y][ginv] for y in c[g])
                 for g, ginv in enumerate(self.inverses)))
         return self._inner
+
+    def regular_factors(self, a: int | None = None
+                        ) -> tuple["MatrixRep", ...]:
+        """The regular representation split along the cyclic subgroup <a>
+        of order h: one factor per divisor d of h, in increasing d, whose
+        direct sum is conjugate to it over Q (proof in twisted).
+
+        Take the least element of each left coset of <a> as g_i, in
+        increasing order; then g*g_i = g_s(i) * a^e for one coset s(i)
+        and one e < h, read from row g of the Cayley table.  All factors
+        share these column maps s and exponents e; factor d has blocks of
+        size phi(d).  Without a, the element minimising the elimination
+        work sum_d (phi(d)*|G|/h)^3, the least one on ties, is used, and
+        that split is cached.
+        """
+        if a is None:
+            if self._split is None:
+                orders = [self.element_order(g) for g in self.elements()]
+                cost = {h: sum((len(cyclotomic_residues(d)[0])
+                                * self.order // h) ** 3
+                               for d in range(1, h + 1) if h % d == 0)
+                        for h in set(orders)}
+                self._split = self.regular_factors(
+                    min(self.elements(), key=lambda g: cost[orders[g]]))
+            return self._split
+        c, h = self.cayley, self.element_order(a)
+        coset, power, reps = [0] * self.order, [-1] * self.order, []
+        for g in self.elements():
+            if power[g] < 0:
+                y = g
+                for e in range(h):
+                    coset[y], power[y] = len(reps), e
+                    y = c[y][a]
+                reps.append(g)
+        images = [[row[r] for r in reps] for row in c]
+        perms = tuple(tuple(coset[y] for y in ys) for ys in images)
+        exponents = tuple(tuple(power[y] for y in ys) for ys in images)
+        return tuple(
+            MatrixRep(self, len(cyclotomic_residues(d)[0]) * len(reps),
+                      perms, exponents, d)
+            for d in range(1, h + 1) if h % d == 0)
 
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
         """The classes in order of their least members: the first element
@@ -455,33 +503,60 @@ def group_from_cayley_json(obj: dict | str) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """A homomorphism from a finite group into the permutation matrices of
-    GL(dimension, ZZ), stored as column maps: the image of g has a 1 in
-    row perms[g][j] of column j and zeros elsewhere."""
+    """A homomorphism from a finite group into GL(dimension, ZZ) by
+    block-monomial matrices, stored as column maps on blocks: the image of
+    g has one nonzero block in block column j, in block row perms[g][j],
+    and that block is the matrix of multiplication by x^exponents[g][j] on
+    ZZ[x]/Phi_d, d = cyclotomic, in the basis 1, x, ..., x^(phi(d)-1).
+
+    Without exponents, d is 1 and every block is the 1 x 1 identity: a
+    permutation representation, whose image of g has a 1 in row
+    perms[g][j] of column j and zeros elsewhere."""
 
     group: FiniteGroup
     dimension: int
     perms: tuple[tuple[int, ...], ...]
+    exponents: tuple[tuple[int, ...], ...] | None = None
+    cyclotomic: int = 1
+
+    def factors(self) -> tuple["MatrixRep", ...]:
+        """Representations whose direct sum is conjugate to this one over
+        Q: FiniteGroup.regular_factors when the column maps are the rows
+        of the Cayley table, which makes this the regular representation
+        whoever built it, and this representation alone otherwise."""
+        if self.exponents is None and self.perms == self.group.cayley:
+            return self.group.regular_factors()
+        return (self,)
 
     def validate(self) -> None:
-        group, d, perms = self.group, self.dimension, self.perms
-        if len(perms) != group.order:
+        group, perms, d = self.group, self.perms, self.cyclotomic
+        exps = self.exponents or tuple((0,) * len(p) for p in perms)
+        if len(perms) != group.order or len(exps) != group.order:
             raise GroupValidationError("one image per element required")
-        points = set(range(d))
+        size = len(cyclotomic_residues(d)[0])
+        blocks = tuple(range(self.dimension // size))
         for g, perm in enumerate(perms):
-            if len(perm) != d or set(perm) != points:
+            if len(perm) * size != self.dimension \
+                    or set(perm) != set(blocks) or len(exps[g]) != len(perm):
                 raise GroupValidationError(
-                    f"image of {g} is not a bijection of range({d})")
-        if perms[group.identity] != tuple(range(d)):
+                    f"image of {g} is not a bijection of the "
+                    f"{len(blocks)} blocks")
+        e = group.identity
+        if perms[e] != blocks or any(x % d for x in exps[e]):
             raise GroupValidationError("identity does not map to I")
         # the h with rho(gh) = rho(g) rho(h) for all g are closed under
         # products (as in Light's test), so checking a generating set
-        # proves the law for every pair
+        # proves the law for every pair; block column j of rho(g) rho(h)
+        # is x^(exps[h][j] + exps[g][perms[h][j]]) in block row
+        # perms[g][perms[h][j]]
         for h in group._greedy_generators():
-            ph = perms[h]
+            ph, eh = perms[h], exps[h]
             for g in range(group.order):
-                pg = perms[g]
-                if perms[group.mul(g, h)] != tuple(pg[x] for x in ph):
+                pg, eg = perms[g], exps[g]
+                gh = group.mul(g, h)
+                if perms[gh] != tuple(pg[x] for x in ph) or any(
+                        (x - eh[j] - eg[ph[j]]) % d
+                        for j, x in enumerate(exps[gh])):
                     raise GroupValidationError(
                         f"homomorphism law fails at ({g},{h})")
 

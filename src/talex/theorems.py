@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     INTEGERS,
@@ -173,7 +174,10 @@ def make_case(name: str, *, n: int | None = None, p: int | None = None,
     raise ValueError(f"unknown case {name!r}")
 
 
+@lru_cache(maxsize=32)
 def group_for_case(case: TheoremCase) -> FiniteGroup:
+    """The case's group, built once per case: a verify run over many knots
+    builds it, and the tables FiniteGroup caches, a single time."""
     return _CASE_GROUPS[case.name](*case.parameters)
 
 

@@ -10,7 +10,8 @@ for a dropped generator x_j.  The quotient, up to units c*t^k, does not
 depend on j (Wada, Topology 33, 1994); this module drops x_m unless the
 caller names another generator.
 
-Every representation is by permutation matrices (see groups.MatrixRep).
+Every representation given to wada_invariant is by permutation matrices
+(see groups.MatrixRep).
 For a Laurent polynomial a and a permutation matrix P, det(a(t*P)) is a
 product over the cycles of P: P is permutation-similar to a block
 diagonal of cyclic shifts C_len, and a(t*C_len) has the eigenvalues
@@ -34,6 +35,32 @@ hands every surjection its class's result.
 
 Block rows are ordered by (relator, representation row) and block columns
 by (kept generator ascending, representation column).
+
+The numerator is multiplicative over a splitting of the representation,
+and the regular representation splits along any cyclic subgroup.  Let a
+have order h.  Right multiplication by a commutes with every left
+multiplication, so Q[G] is a right module over Q[<a>] = Q[x]/(x^h - 1),
+free on the left-coset representatives g_i of <a>.  By the Chinese
+remainder theorem Q[x]/(x^h - 1) is the product of the Q[x]/Phi_d over the
+divisors d of h, so rho_reg is conjugate over Q to the direct sum of the
+factors rho_d = Q[G] tensor_{Q[<a>]} Q[x]/Phi_d, of dimension
+phi(d)*|G|/h.  rho_d has the integer basis g_i tensor x^j, j < phi(d), on
+which g, with g*g_i = g_s(i) * a^e, acts by the block-monomial matrix
+whose block (s(i), i) is multiplication by x^e modulo Phi_d
+(groups.FiniteGroup.regular_factors).  Conjugating the block matrix by
+I_{m-1} tensor the change of basis, and then ordering rows and columns by
+factor with one permutation on both sides, makes it block diagonal with
+one block per d; neither step changes the determinant.  So over Q(t) the
+block determinant of rho_reg is the product over d of the block
+determinants of the rho_d.  Both sides are integer Laurent polynomials,
+so the identity holds in ZZ[t^+-1] and, since a determinant commutes with
+reduction of its entries, over every F_p, p | h included: the numerator
+stays bit-identical.  Elimination then runs on (m-1)*phi(d)*|G|/h rows per
+factor; FiniteGroup.regular_factors picks the a minimising
+sum_d (phi(d)*|G|/h)^3.  Unlike a lift to blocks over F_p[t][x]/(x^h - 1),
+whose packed degree grows like N^2 * h, each factor is a matrix over
+F_p[t] or ZZ[t] in t alone.  Any other representation is its own single
+factor (groups.MatrixRep.factors).
 
 When every generator maps to one element g, as for every surjection onto
 an abelian group (meridians are conjugate), each Fox block is a Laurent
@@ -61,6 +88,7 @@ from .algebra import (
     PolyMatrix,
     RationalFunction,
     cycle_norm,
+    cyclotomic_residues,
     determinant,
     rational_normalize,
 )
@@ -104,16 +132,27 @@ class TwistedAlexanderResult:
 
 def evaluate_rep_phi(element: GroupRingElement, f: Homomorphism,
                      rep: MatrixRep, domain: CoefficientDomain) -> PolyMatrix:
-    """(rho.f tensor phi) extended linearly: each group ring term c*w adds
-    c * t^phi(w) at the cells (perm[j], j) of rho(f(w)), O(dim) per term."""
-    dim = rep.dimension
+    """(rho.f tensor phi) extended linearly, for any block-monomial
+    representation: each group ring term c*w adds c * t^phi(w) times the
+    block of x^e mod Phi_d at block (perm[j], j) of rho(f(w)), for every
+    block column j with its exponent e.  A permutation representation has
+    1 x 1 blocks (Phi_1 = x - 1), so a term costs O(dim) there."""
+    dim, d = rep.dimension, rep.cyclotomic
+    residues = cyclotomic_residues(d)
+    size = len(residues[0])
     terms: list[dict[int, int]] = [{} for _ in range(dim * dim)]
     for word, c in element.items():
-        perm = rep.perms[evaluate_word(f.group, f.images, word)]
+        g = evaluate_word(f.group, f.images, word)
+        perm = rep.perms[g]
+        exps = rep.exponents[g] if rep.exponents else (0,) * len(perm)
         e = abelian_exponent(word)
-        for j, i in enumerate(perm):
-            cell = terms[i * dim + j]
-            cell[e] = cell.get(e, 0) + c
+        for j, (i, x) in enumerate(zip(perm, exps)):
+            for jj in range(size):
+                column = j * size + jj
+                for r, v in enumerate(residues[(x + jj) % d]):
+                    if v:
+                        cell = terms[(i * size + r) * dim + column]
+                        cell[e] = cell.get(e, 0) + c * v
     entries = tuple(LaurentPolynomial.from_coeff_map(domain, cell)
                     for cell in terms)
     return PolyMatrix(dim, dim, entries)
@@ -154,10 +193,20 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     rho(f(x_j)); it is nonzero over every domain, so any choice is valid.
     When f sends every generator to one element g, the numerator is the
     permutation norm of the Alexander minor over rho(g) (see the module
-    docstring); otherwise it is the determinant of the block matrix.
+    docstring).  Otherwise it is the product, over the factors of
+    rep.factors(), of the determinants of their block matrices: one per
+    divisor d of the order of the splitting element for the regular
+    representation, and rep's own block matrix for any other.  Over Q the
+    regular representation is conjugate to the direct sum of its factors,
+    so its block matrix is conjugate to the block diagonal of theirs; both
+    sides of the determinant identity are integer polynomials, so it holds
+    exactly over the integers and every F_p (proof in the module
+    docstring).
     """
     if rep.group is not f.group:
         raise ValueError("representation and homomorphism target differ")
+    if rep.cyclotomic != 1:
+        raise ValueError("wada_invariant needs a permutation representation")
     m = pres.generators
     if len(pres.relators) != m - 1:
         raise ValueError(
@@ -175,14 +224,17 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
         num = permutation_norm(alexander_minor(pres, domain, dropped),
                                rep.perms[f.images[0]])
     else:
-        dim = rep.dimension
-        kept = [j for j in range(1, m + 1) if j != dropped]
-        blocks = [[evaluate_rep_phi(fox_derivative(r, j), f, rep, domain)
-                   for j in kept] for r in pres.relators]
-        rows = [[block.entry(i, jj) for block in block_row
-                 for jj in range(dim)]
-                for block_row in blocks for i in range(dim)]
-        num = determinant(PolyMatrix.from_rows(rows))
+        fox = [[fox_derivative(r, j) for j in range(1, m + 1) if j != dropped]
+               for r in pres.relators]
+        num = LaurentPolynomial.one(domain)
+        for factor in rep.factors():
+            dim = factor.dimension
+            blocks = [[evaluate_rep_phi(d, f, factor, domain) for d in row]
+                      for row in fox]
+            num = num * determinant(PolyMatrix.from_rows(
+                [[block.entry(i, jj) for block in block_row
+                  for jj in range(dim)]
+                 for block_row in blocks for i in range(dim)]))
 
     normalized = rational_normalize(RationalFunction(num, den))
     return TwistedAlexanderResult(num, den, dropped, normalized)

@@ -7,7 +7,9 @@ span.  A renamed traced function, a layer that no longer does its work, or
 a changed CLI result therefore fails here as well as in the benchmark.
 On the verify workloads the Wada layer must run once per automorphism
 class of surjections, every F_p determinant of verify-modp must run on
-the packed F_p kernel rather than fall back to the packed ZZ route, and
+the packed F_p kernel rather than fall back to the packed ZZ route and
+have at most 14 rows (one cyclotomic factor of the regular
+representation, not its whole block matrix), and
 verify-exact must compute no determinant larger than an Alexander minor:
 its numerators and orbit products are cycle norms, not eliminations.  Each
 verify-exact check normalises three rational functions, the invariant, the
@@ -49,7 +51,7 @@ def test_verify_modp_stays_on_the_fp_kernel(monkeypatch, capsys):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
 
-    calls = []  # [modulus, kernel runs] per determinant call
+    calls = []  # [modulus, kernel runs, rows] per determinant call
     kernel, real_determinant = algebra._det_packed_modp, algebra.determinant
 
     def counting_kernel(rows, n, p):
@@ -57,7 +59,7 @@ def test_verify_modp_stays_on_the_fp_kernel(monkeypatch, capsys):
         return kernel(rows, n, p)
 
     def recording_determinant(m):
-        calls.append([m.domain.p, 0])
+        calls.append([m.domain.p, 0, m.rows])
         return real_determinant(m)
 
     monkeypatch.setattr(algebra, "_det_packed_modp", counting_kernel)
@@ -68,9 +70,12 @@ def test_verify_modp_stays_on_the_fp_kernel(monkeypatch, capsys):
     for argv in WORKLOADS["verify-modp"]:
         assert main(argv + ["--format", "json"]) == 0, argv
     capsys.readouterr()
-    runs = [n for p, n in calls if p is not None]
+    runs = [n for p, n, _ in calls if p is not None]
     assert len(runs) >= 9
     assert runs == [1] * len(runs)
+    # the regular representation is split along a cyclic subgroup, so no
+    # elimination sees the full 24-row block matrix of A4 on 8_18
+    assert max(rows for p, _, rows in calls if p is not None) <= 14
 
 
 def test_verify_exact_runs_only_alexander_minors(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from talex.algebra import (
     rational_normalize,
 )
 from talex.cli import main, parse_group_spec
-from talex.groups import cyclic
+from talex.groups import FiniteGroup, cyclic
 
 
 def run(capsys, *argv):
@@ -150,6 +150,22 @@ class TestVerify:
         assert len(report["results"]) == 6
         for rec in report["results"]:
             assert all(rec["verdicts"])
+
+    def test_builds_the_case_group_once(self, capsys, monkeypatch):
+        # one C7 for the six knots, so its conjugation table is read once
+        built = []
+        real_init = FiniteGroup.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        theorems.group_for_case.cache_clear()
+        monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+        code, report, _ = run_json(capsys, "verify", "--case", "cyclic",
+                                   "--n", "7", "--all-knots")
+        assert code == 0 and len(report["results"]) == 6
+        assert len(built) == 1
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "dihedral", "--p",

@@ -423,6 +423,18 @@ class TestRepresentations:
         with pytest.raises(GroupValidationError, match="homomorphism"):
             bad.validate()
 
+    def test_validate_rejects_a_wrong_block_exponent(self):
+        # the sign factor of D3 split along the involution 3: each element
+        # acts on the three cosets by a permutation and signs (-1)^e
+        [trivial, sign] = dihedral(3).regular_factors(3)
+        assert (trivial.dimension, sign.dimension) == (3, 3)
+        sign.validate()
+        exps = list(sign.exponents)
+        exps[1] = (exps[1][0] + 1,) + exps[1][1:]
+        bad = MatrixRep(sign.group, 3, sign.perms, tuple(exps), 2)
+        with pytest.raises(GroupValidationError, match="homomorphism"):
+            bad.validate()
+
     def test_validate_rejects_wrong_identity_and_count(self):
         g = cyclic(2)
         with pytest.raises(GroupValidationError, match="identity"):

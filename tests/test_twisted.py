@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from sympy import Matrix, Poly, cyclotomic_poly, symbols, totient
 
 from conftest import bundled_pd_codes, dense_rep_phi, poly
 from paper_lemmas import direct_sum_rep, trivial_representation
@@ -10,6 +11,7 @@ from talex.algebra import (
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
+    cyclotomic_residues,
     determinant,
     equal_up_to_unit,
     prime_field,
@@ -23,6 +25,7 @@ from talex.groups import (
     dicyclic,
     dihedral,
     direct_product,
+    dp_semidirect_cp,
     metacyclic,
     regular_representation,
 )
@@ -35,8 +38,10 @@ from talex.knots import (
     KnotPresentation,
     alexander_minor,
     fox_derivative,
+    simplify_presentation,
     wirtinger_from_pd,
 )
+from talex.theorems import catalog_under_24
 from talex.twisted import (
     alexander_polynomial,
     evaluate_rep_phi,
@@ -468,3 +473,122 @@ class TestInvariants:
             assert own.numerator == res.numerator, f.images
             assert own.denominator == res.denominator, f.images
             assert own.dropped_generator == res.dropped_generator
+
+
+def split_numerator(pres, f, factors, domain):
+    """The product of the factors' block determinants, x_m dropped."""
+    num = LaurentPolynomial.one(domain)
+    for factor in factors:
+        num = num * determinant(PolyMatrix.from_rows(
+            block_rows(pres, f, factor, domain, pres.generators)))
+    return num
+
+
+def connected_sum(a, b):
+    """Both presentations with the meridians x_1 = y_1, simplified."""
+    shift = a.generators
+    relators = a.relators + tuple(
+        tuple(x + shift if x > 0 else x - shift for x in r)
+        for r in b.relators) + ((1, -(shift + 1)),)
+    return simplify_presentation(
+        KnotPresentation(a.generators + b.generators, relators))
+
+
+class TestCyclotomicSplit:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_numerator_is_the_block_determinant_mod_p(self, table, p):
+        # every catalog group and bundled knot that reaches the generic
+        # route, one surjection per automorphism class: the product of the
+        # factor determinants against the full |G|-block matrix
+        domain, checked = prime_field(p), 0
+        for name, g, _ in catalog_under_24():
+            rep = regular_representation(g)
+            for knot in KNOTS:
+                pres = table[knot]
+                homs = find_meridional_surjections(pres, g,
+                                                   up_to_conjugacy=True)
+                for cls in regular_equivalence_classes(homs):
+                    f = cls[0]
+                    if len(set(f.images)) == 1:
+                        continue
+                    oracle = determinant(PolyMatrix.from_rows(block_rows(
+                        pres, f, rep, domain, pres.generators)))
+                    assert wada_invariant(pres, f, rep, domain).numerator \
+                        == oracle, (name, knot)
+                    checked += 1
+        assert checked == 41
+
+    def test_numerator_is_the_block_determinant_over_integers(self, table):
+        for g in (dihedral(3), dihedral(5), dicyclic(3), alternating4()):
+            rep = regular_representation(g)
+            for knot in KNOTS:
+                pres = table[knot]
+                homs = find_meridional_surjections(pres, g,
+                                                   up_to_conjugacy=True)
+                for cls in regular_equivalence_classes(homs):
+                    f = cls[0]
+                    oracle = determinant(PolyMatrix.from_rows(block_rows(
+                        pres, f, rep, INTEGERS, pres.generators)))
+                    assert wada_invariant(pres, f, rep).numerator == oracle, \
+                        (g.name, knot, f.images)
+
+    def test_numerator_on_a_connected_sum(self, table):
+        # 4_1 # 4_1 onto D5sC5 mod 5: the 100 x 100 block matrix against
+        # two 50 x 50 factors (the split is along an involution)
+        pres = connected_sum(table["4_1"], table["4_1"])
+        g, domain = dp_semidirect_cp(5), prime_field(5)
+        f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
+        rep = regular_representation(g)
+        assert [r.dimension for r in rep.factors()] == [25, 25]
+        oracle = determinant(PolyMatrix.from_rows(
+            block_rows(pres, f, rep, domain, pres.generators)))
+        assert not oracle.is_zero
+        assert wada_invariant(pres, f, rep, domain).numerator == oracle
+
+    @pytest.mark.parametrize("g,knot,domain", [
+        (alternating4(), "8_18", prime_field(2)),
+        (dicyclic(5), "7_4", prime_field(5)),
+        (metacyclic(3, 7, 2), "6_1", prime_field(7)),
+        (dihedral(3), "3_1", INTEGERS),
+    ], ids=["A4-8_18-2", "Dic5-7_4-5", "G(3,7|2)-6_1-7", "D3-3_1-ZZ"])
+    def test_choice_of_element_does_not_matter(self, table, g, knot, domain):
+        pres = table[knot]
+        f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
+        expected = wada_invariant(pres, f, regular_representation(g),
+                                  domain).numerator
+        x = symbols("x")
+        for a in g.elements():
+            if a == g.identity:
+                continue
+            h = g.element_order(a)
+            factors = g.regular_factors(a)
+            divisors = [d for d in range(1, h + 1) if h % d == 0]
+            assert [r.cyclotomic for r in factors] == divisors
+            assert sum(r.dimension for r in factors) == g.order
+            for factor in factors:
+                factor.validate()
+                d, perms, exps = factor.cyclotomic, factor.perms, \
+                    factor.exponents
+                # the blocks: x^e mod Phi_d is the e-th power of the
+                # companion matrix of sympy's Phi_d
+                companion = Matrix.zeros(totient(d))
+                phi = Poly(cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+                for i in range(1, totient(d)):
+                    companion[i, i - 1] = 1
+                for i in range(totient(d)):
+                    companion[i, totient(d) - 1] = -phi[i]
+                residues = cyclotomic_residues(d)
+                for e in range(d):
+                    assert Matrix(residues[e]) == (companion ** e)[:, 0]
+                # rho_d(gh) = rho_d(g) rho_d(h) on all pairs: block column
+                # j of the product is x^(e_h(j) + e_g(s_h(j))) in block row
+                # s_g(s_h(j)), and x^d = 1 on ZZ[x]/Phi_d
+                for u in g.elements():
+                    for v in g.elements():
+                        uv = g.mul(u, v)
+                        assert perms[uv] == tuple(perms[u][i]
+                                                  for i in perms[v])
+                        assert all(
+                            (exps[uv][j] - exps[v][j] - exps[u][i]) % d == 0
+                            for j, i in enumerate(perms[v]))
+            assert split_numerator(pres, f, factors, domain) == expected, a
