@@ -12,6 +12,13 @@ Exit codes are a stable contract for CI use:
 
 The knot table defaults to the bundled one; override with --table or the
 TALEX_TABLE environment variable.
+
+With --format json every command prints one envelope, {"version",
+"command", "config", "results"}, as the bytes of json.dumps(envelope,
+indent=2).  _emit's writer, _indented_json, produces those bytes itself:
+the standard encoder runs in pure Python whenever it indents, and the
+envelopes repeat values, such as one invariant shared by every surjection
+of an automorphism class, that the writer encodes once.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import CoefficientDomain, to_text
@@ -152,11 +160,54 @@ def _select_knots(args, table) -> list[str]:
     return names
 
 
+def _indented_json(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for the values to_json
+    builds: dicts with str keys, lists, tuples, str, int, float, bool and
+    None.  Each list and dict is encoded once per depth, since its
+    indentation depends on the depth, and reused wherever the same object
+    recurs; a list of plain ints is one join."""
+    memo: dict[tuple[int, int], str] = {}
+
+    def encode(x, depth: int) -> str:
+        if type(x) is str:
+            return encode_basestring_ascii(x)
+        if type(x) is int:
+            return int.__repr__(x)
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        if not isinstance(x, (list, tuple, dict)):
+            return json.dumps(x)  # floats, as the standard encoder writes them
+        key = (id(x), depth)
+        text = memo.get(key)
+        if text is None:
+            inner = "\n" + "  " * (depth + 1)
+            if isinstance(x, dict):
+                items = [encode_basestring_ascii(k) + ": "
+                         + encode(v, depth + 1) for k, v in x.items()]
+                brackets = "{}"
+            elif set(map(type, x)) == {int}:
+                items = map(int.__repr__, x)
+                brackets = "[]"
+            else:
+                items = [encode(v, depth + 1) for v in x]
+                brackets = "[]"
+            text = (brackets[0] + inner + ("," + inner).join(items)
+                    + "\n" + "  " * depth + brackets[1]) if x else brackets
+            memo[key] = text
+        return text
+
+    return encode(value, 0)
+
+
 def _emit(args, command, config, results, text_lines) -> None:
     if args.format == "json":
         envelope = {"version": __version__, "command": command,
                     "config": config, "results": results}
-        print(json.dumps(envelope, indent=2))
+        print(_indented_json(envelope))
     else:
         for line in text_lines:
             print(line)
@@ -207,10 +258,12 @@ def cmd_compute(args) -> int:
                             "surjections_found": 0, "invariants": []})
             lines.append(f"{name} -> {group.name}: no surjection")
             continue
-        records = []
+        records, shared = [], {}
         for f, res in zip(surjections,
                           invariants(pres, group, surjections, domain)):
-            records.append({"images": list(f.images), **res.to_json()})
+            if id(res) not in shared:  # one result per automorphism class
+                shared[id(res)] = res.to_json()
+            records.append({"images": list(f.images), **shared[id(res)]})
             lines.append(f"{name} -> {group.name}"
                          + (f" mod {mod}" if mod else "")
                          + f" via {list(f.images)}: {res.normalized}")

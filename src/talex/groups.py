@@ -57,6 +57,7 @@ class FiniteGroup:
         self._inner: tuple[tuple[int, ...], ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._split: tuple[MatrixRep, ...] | None = None
+        self._derived: frozenset[int] | None = None
 
     # -- construction-time checks ----------------------------------------
 
@@ -249,7 +250,7 @@ class FiniteGroup:
     def subgroup_generated(self, gens) -> frozenset[int]:
         seen = {self.identity}
         frontier = [self.identity]
-        gens = list(gens)
+        gens = set(gens)
         while frontier:
             x = frontier.pop()
             for g in gens:
@@ -267,11 +268,13 @@ class FiniteGroup:
                      if cls.generates), None)
 
     def commutator_subgroup(self) -> frozenset[int]:
-        """G' = <g h g^-1 h^-1 : g, h in G>."""
-        c, inv = self.cayley, self.inverses
-        return self.subgroup_generated(
-            {c[c[c[g][h]][inv[g]]][inv[h]]
-             for g in range(self.order) for h in range(self.order)})
+        """G' = <g h g^-1 h^-1 : g, h in G>, built once per group."""
+        if self._derived is None:
+            c, inv = self.cayley, self.inverses
+            self._derived = self.subgroup_generated(
+                {c[c[c[g][h]][inv[g]]][inv[h]]
+                 for g in range(self.order) for h in range(self.order)})
+        return self._derived
 
     def to_json(self) -> dict:
         return {"order": self.order, "identity": self.identity,

@@ -67,7 +67,9 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
     least member has x_1 = r, because r = min C, so it is the least
     C_G(r)-conjugate of any surjection found with x_1 = r.  C_G(r) acts
     through the inner automorphisms that fix r, one per coset of Z(G):
-    on an abelian G, the identity map alone.
+    on an abelian G, the identity map alone.  Conjugate tuples generate
+    subgroups of equal order, so surjectivity is checked once per orbit,
+    on its least member.
 
     The budget bounds the nodes of this tree: one for x_1 = r, and one
     per member of C tried at x_2..x_m.  Raises BudgetExceededError rather
@@ -85,6 +87,7 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
             relators_at[max(abs(letter) for letter in r)].append(r)
 
     nodes = 0
+    seen: set[tuple[int, ...]] = set()  # orbit minima of relator solutions
     found: set[tuple[int, ...]] = set()
     for cls in group.conjugacy_classes():
         if not cls.generates:
@@ -97,9 +100,11 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
         def assign(pos: int):
             nonlocal nodes
             if pos == m:
-                if len(group.subgroup_generated(images)) == group.order:
-                    found.add(min(tuple(a[x] for x in images)
-                                  for a in fixing))
+                least = min(tuple(a[x] for x in images) for a in fixing)
+                if least not in seen:
+                    seen.add(least)
+                    if len(group.subgroup_generated(least)) == group.order:
+                        found.add(least)
                 return
             for g in members if pos else (rep,):
                 nodes += 1

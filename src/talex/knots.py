@@ -31,7 +31,6 @@ presentation stays available through wirtinger_from_pd.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -240,14 +239,20 @@ def simplify_presentation(pres: KnotPresentation) -> KnotPresentation:
     relators = [_cyclic_reduce(r) for r in pres.relators]
     alive = list(range(1, pres.generators + 1))
     while True:
-        counts = [Counter(abs(letter) for letter in r) for r in relators]
-        total = sum(counts, Counter())
-        candidates = [((total[g] - 1) * (len(r) - 2), len(r), idx, g)
-                      for idx, (r, cnt) in enumerate(zip(relators, counts))
-                      for g, c in cnt.items() if c == 1]
-        if not candidates:
+        counts, total = [], {}
+        for r in relators:
+            cnt: dict[int, int] = {}
+            for letter in r:
+                cnt[abs(letter)] = cnt.get(abs(letter), 0) + 1
+            for g, c in cnt.items():
+                total[g] = total.get(g, 0) + c
+            counts.append(cnt)
+        best = min((((total[g] - 1) * (len(r) - 2), len(r), idx, g)
+                    for idx, (r, cnt) in enumerate(zip(relators, counts))
+                    for g, c in cnt.items() if c == 1), default=None)
+        if best is None:
             break
-        *_, idx, j = min(candidates)
+        *_, idx, j = best
         r = relators.pop(idx)
         pos = next(k for k, letter in enumerate(r) if abs(letter) == j)
         u, v = r[:pos], r[pos + 1:]

@@ -257,13 +257,18 @@ class VerdictRecord:
         return self.surjections_found == 0
 
     def to_json(self) -> dict:
+        """The record as JSON values.  Surjections of one automorphism
+        class share one left-side object, and their "lhs" entries share
+        one dict, so the CLI writer encodes it once."""
+        distinct = {id(x): x for x in self.lhs}
+        lhs_json = {key: x.to_json() for key, x in distinct.items()}
         return {
             "knot": self.knot,
             "group": self.group,
             "parameters": list(self.parameters),
             "surjections_found": self.surjections_found,
             "verdicts": list(self.verdicts),
-            "lhs": [x.to_json() for x in self.lhs],
+            "lhs": [lhs_json[id(x)] for x in self.lhs],
             "rhs": self.rhs.to_json() if self.rhs is not None else None,
             "modulus": self.modulus,
             "elapsed_ms": self.elapsed_ms,

@@ -14,11 +14,19 @@ does not ship them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from talex.algebra import LaurentPolynomial, PolyMatrix, _is_prime
 from talex.groups import FiniteGroup, MatrixRep, metacyclic
 from talex.homsearch import Homomorphism, evaluate_word
-from talex.knots import GroupRingElement, KnotPresentation, free_reduce
+from talex.knots import (
+    GroupRingElement,
+    KnotPresentation,
+    _cyclic_reduce,
+    _substitute,
+    free_reduce,
+    invert_word,
+)
 from talex.theorems import _odd_prime
 
 
@@ -90,6 +98,41 @@ def ring_word_mul(u, e: GroupRingElement) -> GroupRingElement:
         else:
             out.pop(key, None)
     return out
+
+
+# -- Tietze elimination ---------------------------------------------------
+
+
+def simplify_presentation_counter(pres: KnotPresentation) -> KnotPresentation:
+    """Oracle for knots.simplify_presentation: the same greedy elimination
+    with the candidates counted by one Counter per relator, summed."""
+    relators = [_cyclic_reduce(r) for r in pres.relators]
+    alive = list(range(1, pres.generators + 1))
+    while True:
+        counts = [Counter(abs(letter) for letter in r) for r in relators]
+        total = sum(counts, Counter())
+        candidates = [((total[g] - 1) * (len(r) - 2), len(r), idx, g)
+                      for idx, (r, cnt) in enumerate(zip(relators, counts))
+                      for g, c in cnt.items() if c == 1]
+        if not candidates:
+            break
+        *_, idx, j = min(candidates)
+        r = relators.pop(idx)
+        pos = next(k for k, letter in enumerate(r) if abs(letter) == j)
+        u, v = r[:pos], r[pos + 1:]
+        if r[pos] > 0:
+            image = free_reduce(invert_word(u) + invert_word(v))
+        else:
+            image = free_reduce(v + u)
+        relators = [_substitute(w, j, image) for w in relators]
+        alive.remove(j)
+    renumber = {g: k for k, g in enumerate(alive, 1)}
+    return KnotPresentation(
+        generators=len(alive),
+        relators=tuple(tuple(renumber[letter] if letter > 0
+                             else -renumber[-letter] for letter in r)
+                       for r in relators),
+        meridional=pres.meridional)
 
 
 # -- representations and surjections -------------------------------------

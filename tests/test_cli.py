@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from talex import theorems
+from talex import cli, theorems
 from talex.algebra import (
     LaurentPolynomial,
     RationalFunction,
@@ -446,3 +446,90 @@ class TestUsageErrors:
             main([flag])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+# one list and one dict, each placed at two depths of one value
+_SHARED = [1, [], {"k": None}]
+_NESTED = {"a": _SHARED, "b": {"c": [_SHARED, {"d": _SHARED}]}}
+
+
+class TestJsonWriter:
+    """_emit's writer prints json.dumps(envelope, indent=2) byte for byte:
+    every envelope the commands print is checked against that oracle."""
+
+    @pytest.fixture
+    def envelopes(self, monkeypatch):
+        seen = []
+        writer = cli._indented_json
+
+        def checked(value):
+            text = writer(value)
+            assert text == json.dumps(value, indent=2)
+            seen.append(value)
+            return text
+
+        monkeypatch.setattr(cli, "_indented_json", checked)
+        return seen
+
+    @pytest.mark.parametrize("argv,code", [
+        (("alexander", "--all-knots"), 0),
+        (("compute", "--knot", "3_1", "--knot", "4_1", "--group", "D3"), 2),
+        (("compute", "--all-knots", "--group", "A4", "--mod", "2"), 2),
+        (("compute", "--knot", "3_1", "--group", "C6", "--mod", "3",
+          "--up-to-conjugacy"), 0),
+        (("compute", "--knot", "3_1", "--knot", "8_18", "--group", "D3",
+          "--budget", "1"), 4),
+        (("verify", "--case", "cyclic", "--n", "5", "--all-knots"), 0),
+        (("verify", "--case", "cyclic", "--n", "4", "--all-knots",
+          "--mod", "3"), 0),
+        (("verify", "--case", "dihedral", "--p", "3", "--n", "1",
+          "--knot", "3_1", "--knot", "4_1"), 0),
+        (("verify", "--case", "dihedral", "--p", "3", "--knot", "3_1",
+          "--knot", "8_18", "--budget", "1"), 4),
+        (("surjections", "--group", "D5", "--all-knots"), 2),
+        (("surjections", "--group", "D3", "--knot", "3_1",
+          "--up-to-conjugacy"), 0),
+        (("groups", "list"), 0),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+    def test_every_subcommand(self, capsys, envelopes, argv, code):
+        got, out, _ = run(capsys, *argv, "--format", "json")
+        assert got == code and len(envelopes) == 1
+        assert out == json.dumps(envelopes[0], indent=2) + "\n"
+
+    def test_cayley_spec_with_quotes_and_non_ascii(self, capsys, envelopes,
+                                                   tmp_path):
+        path = tmp_path / 'gr\u00fcppe "\\ C5".json'
+        path.write_text(json.dumps(cyclic(5).to_json()))
+        code, out, _ = run(capsys, "compute", "--knot", "3_1", "--group",
+                           f"cayley:{path}", "--format", "json")
+        assert code == 0 and len(envelopes) == 1
+        assert envelopes[0]["config"]["group"] == f"cayley:{path}"
+
+    def test_class_members_share_one_dict(self, capsys, envelopes):
+        # the four surjections x -> 1..4 of 3_1 onto C5 are one
+        # automorphism class, so their results are one object
+        run(capsys, "compute", "--knot", "3_1", "--group", "C5",
+            "--format", "json")
+        run(capsys, "verify", "--case", "cyclic", "--n", "5",
+            "--knot", "3_1", "--format", "json")
+        records = envelopes[0]["results"][0]["invariants"]
+        lhs = envelopes[1]["results"][0]["lhs"]
+        assert len(records) == len(lhs) == 4
+        assert all(r["normalized"] is records[0]["normalized"]
+                   for r in records)
+        assert all(x is lhs[0] for x in lhs)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), [[]], {"a": {}}, {"a": [{}, [[], {}]], "b": [[[]]]},
+        (1, (2, 3), [()]), {"t": ()},
+        [1, True, 0, False, None], [True, 2], [[1, 2], [False, 2]],
+        None, True, 7, -3, 2.5, "",
+        [0.1, -0.0, 1e16, 1e-7, 3.0, float("inf"), float("-inf"),
+         float("nan")],
+        ['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t",
+         "caf\u00e9 \u2603 \U0001f600", "cayley:/tmp/gr\u00fcppe.json"],
+        {"\u00e9\"\\": [1, {"": ""}]},
+        _NESTED, [_NESTED, _NESTED["b"], _SHARED],
+    ])
+    def test_hand_made_values(self, value):
+        assert cli._indented_json(value) == json.dumps(value, indent=2)

@@ -216,6 +216,13 @@ class TestCatalog:
         assert direct_product(cyclic(2), cyclic(2)) \
             .is_normally_generated_by_one() is None
 
+    def test_commutator_subgroup_is_built_once(self, monkeypatch):
+        g = dihedral(5)
+        first = g.commutator_subgroup()
+        monkeypatch.setattr(FiniteGroup, "subgroup_generated",
+                            lambda *args: pytest.fail("rebuilt G'"))
+        assert g.commutator_subgroup() is first and len(first) == 5
+
     def test_cyclic_normally_generated_by_generator(self):
         for n in (1, 2, 5, 8):
             g = cyclic(n)

@@ -23,6 +23,7 @@ from talex.groups import (
 from talex.homsearch import (
     BudgetExceededError,
     Homomorphism,
+    conjugates,
     evaluate_word,
     find_meridional_surjections,
     regular_equivalence_classes,
@@ -158,6 +159,33 @@ class TestSearch:
         assert len(minima) == 24
         assert minima == conjugation_orbit_minima(
             brute_force_surjections(pres, g))
+
+    def test_one_surjectivity_check_per_orbit(self, table, monkeypatch):
+        # 3_1 # 3_1 -> D3sC3: subgroup_generated runs once per conjugation
+        # orbit of relator solutions in a generating class, not per leaf
+        a = table["3_1"]
+        shift = a.generators
+        pres = simplify_presentation(KnotPresentation(
+            2 * shift, a.relators + tuple(
+                tuple(x + shift if x > 0 else x - shift for x in r)
+                for r in a.relators) + ((1, -(shift + 1)),)))
+        g = d3_semidirect_c3()
+        orbits = {min(conjugates(g, images))
+                  for cls in g.conjugacy_classes() if cls.generates
+                  for images in itertools.product(
+                      sorted(cls.members), repeat=pres.generators)
+                  if satisfies_relators(pres, g, images)}
+        calls = []
+        real = FiniteGroup.subgroup_generated
+
+        def counted(self, gens):
+            calls.append(tuple(gens))
+            return real(self, gens)
+
+        monkeypatch.setattr(FiniteGroup, "subgroup_generated", counted)
+        minima = find_meridional_surjections(pres, g, up_to_conjugacy=True)
+        assert sorted(calls) == sorted(orbits)
+        assert len(orbits) > len(minima) == 24
 
     @pytest.mark.parametrize("group", [
         dihedral(25), dihedral(27), dp_semidirect_cp(5)],

@@ -7,7 +7,9 @@ tests or the benchmark, so no method is kept for a caller that does not
 exist.  Conjugation is decided in groups.py alone: nothing in the package
 outside FiniteGroup calls ``.conjugate``.  The package needs nothing
 beyond the standard library: it declares no runtime dependency and a
-verify run imports no numpy."""
+verify run imports no numpy.  JSON output has one route: nothing in the
+package calls ``json.dumps`` with ``indent``, since cli's writer produces
+those bytes."""
 
 import ast
 import os
@@ -139,6 +141,39 @@ def test_detects_a_conjugate_call():
                       "    return [group.conjugate(x, 1) for x in images]\n"),
     }
     assert conjugate_references(sources) == ["search.py:2"]
+
+
+def indented_dumps_calls(sources: dict[str, str]) -> list[str]:
+    """file:line of every ``dumps(..., indent=...)`` or ``dump(...,
+    indent=...)`` call."""
+    found = []
+    for filename, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and any(
+                    kw.arg == "indent" for kw in node.keywords):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name in ("dumps", "dump"):
+                    found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_json_is_indented_by_cli_alone():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert indented_dumps_calls(sources) == []
+
+
+def test_detects_an_indented_dumps_call():
+    sources = {
+        "cli.py": ("import json\nfrom json import dumps\n\n\n"
+                   "def emit(envelope):\n"
+                   "    print(json.dumps(envelope, indent=2))\n"
+                   "    print(dumps(envelope, indent=None))\n"
+                   "    print(json.dumps(envelope, sort_keys=True))\n"),
+    }
+    assert indented_dumps_calls(sources) == ["cli.py:6", "cli.py:7"]
 
 
 def test_runtime_needs_only_the_standard_library():

@@ -5,8 +5,11 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bundled_pd_codes
+from paper_lemmas import simplify_presentation_counter
 from talex.algebra import CoefficientDomain
 from talex.groups import (
     alternating4,
@@ -21,6 +24,7 @@ from talex.knots import (
     KnotPresentation,
     abelian_exponent,
     alexander_minor,
+    invert_word,
     load_knot_table,
     simplify_presentation,
     wirtinger_from_pd,
@@ -126,3 +130,48 @@ class TestElimination:
         pres = load_knot_table(str(path))["trefoil3"]
         assert pres == KnotPresentation(2, ((1, 2, 1, -2, -1, -2),))
         assert alexander_polynomial(pres).coeffs == (1, -1, 1)
+
+
+@st.composite
+def meridional_presentations(draw):
+    """m generators and m - 1 relators u x_i u^-1 x_k^-1, each saying that
+    a conjugate of one meridian is another; u is any short word."""
+    m = draw(st.integers(1, 6))
+    letters = st.integers(-m, m).filter(lambda x: x != 0)
+    relators = []
+    for _ in range(m - 1):
+        u = tuple(draw(st.lists(letters, max_size=4)))
+        i, k = draw(st.integers(1, m)), draw(st.integers(1, m))
+        relators.append(u + (i,) + invert_word(u) + (-k,))
+    return KnotPresentation(m, tuple(relators))
+
+
+class TestAgainstCounterOracle:
+    """The dict-counting elimination picks the same (relator, generator)
+    pair at every step as the Counter version in paper_lemmas."""
+
+    def test_bundled_pd_codes(self):
+        for pd in PD_CODES.values():
+            raw = wirtinger_from_pd(pd)
+            assert simplify_presentation(raw) == \
+                simplify_presentation_counter(raw)
+
+    @pytest.mark.parametrize("pres", [
+        # cost 0 for x_4 in the second relator and for x_1, x_2 in the
+        # third: the shorter relator goes first
+        KnotPresentation(4, ((3, 1, -3, -2), (-1, 2, 1, -4), (2, -1))),
+        # x_2 costs 2 in both relators: the earlier relator goes first
+        KnotPresentation(3, ((1, 2, -1, -3), (-3, 1, 3, -2))),
+        # x_1 and x_3 cost 0 in the second relator: the lower index goes
+        # first
+        KnotPresentation(3, ((2, 1, -2, -3), (3, -1))),
+    ], ids=["shorter-relator", "earlier-relator", "lower-generator"])
+    def test_tie_breaks(self, pres):
+        assert simplify_presentation(pres) == \
+            simplify_presentation_counter(pres)
+
+    @given(meridional_presentations())
+    @settings(max_examples=300, deadline=None)
+    def test_random_meridional_presentations(self, pres):
+        assert simplify_presentation(pres) == \
+            simplify_presentation_counter(pres)
