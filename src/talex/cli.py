@@ -11,7 +11,10 @@ Exit codes are a stable contract for CI use:
     4  search budget exceeded
 
 The knot table defaults to the bundled one; override with --table or the
-TALEX_TABLE environment variable.
+TALEX_TABLE environment variable.  main reads the table on every call, but
+one process builds the argument parser once and parses each distinct table
+text once (knots.load_knot_table), so a caller that runs many command
+lines in one process pays that set-up on the first only.
 
 With --format json every command prints one envelope, {"version",
 "command", "config", "results"}, as the bytes of json.dumps(envelope,
@@ -24,6 +27,7 @@ of an automorphism class, that the writer encodes once.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -382,7 +386,11 @@ def cmd_groups_list(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The talex parser, built on first use and shared by every main call:
+    parse_args keeps no state on the parser, and --knot appends to a fresh
+    list since its default is None."""
     parser = _Parser(
         prog="talex",
         description="Twisted Alexander polynomials for regular "

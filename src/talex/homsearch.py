@@ -69,7 +69,8 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
     through the inner automorphisms that fix r, one per coset of Z(G):
     on an abelian G, the identity map alone.  Conjugate tuples generate
     subgroups of equal order, so surjectivity is checked once per orbit,
-    on its least member.
+    on its least member, and not at all when C = {r}: then every image is
+    r, and cls.generates already says that <r> = G.
 
     The budget bounds the nodes of this tree: one for x_1 = r, and one
     per member of C tried at x_2..x_m.  Raises BudgetExceededError rather
@@ -95,6 +96,7 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
         rep = cls.representative
         members = sorted(cls.members)
         fixing = [a for a in group.inner_automorphisms() if a[rep] == rep]
+        central = len(cls) == 1
         images = [0] * m
 
         def assign(pos: int):
@@ -103,7 +105,8 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
                 least = min(tuple(a[x] for x in images) for a in fixing)
                 if least not in seen:
                     seen.add(least)
-                    if len(group.subgroup_generated(least)) == group.order:
+                    if central or len(group.subgroup_generated(least)) \
+                            == group.order:
                         found.add(least)
                 return
             for g in members if pos else (rep,):

@@ -318,19 +318,32 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
 
     The file is JSON: {"knots": [entry, ...]} where each entry is either
     {"name": ..., "pd": [[a,b,c,d], ...]} or a direct presentation
-    {"name": ..., "generators": m, "relators": [[letters], ...]}.  The
-    table holds simplify_presentation of each entry, whose generators are
-    a subset of the entry's original generators (for PD entries, of its
-    Wirtinger arcs), renumbered 1..m'.  The simplified form must pass the
-    knot check |Delta(1)| = 1, read off its Alexander minor; Delta(1) is a
-    Tietze invariant up to sign, so this is the check on the entry as
-    written, at the size of the simplified one.
+    {"name": ..., "generators": m, "relators": [[letters], ...]}, and no
+    two entries share a name.  The table holds simplify_presentation of
+    each entry, whose generators are a subset of the entry's original
+    generators (for PD entries, of its Wirtinger arcs), renumbered 1..m'.
+    The simplified form must pass the knot check |Delta(1)| = 1, read off
+    its Alexander minor; Delta(1) is a Tietze invariant up to sign, so
+    this is the check on the entry as written, at the size of the
+    simplified one.
+
+    The source, a path or an object with read(), is read on every call,
+    so an edited file is seen.  Parsing, validation and simplification are
+    cached by the text read: each call returns a new dict, and calls with
+    equal texts share its KnotPresentation values, which are frozen.  A
+    malformed text raises KnotTableError on every call, since exceptions
+    are not cached.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
+    return dict(_parse_knot_table(text))
+
+
+@lru_cache(maxsize=8)
+def _parse_knot_table(text) -> tuple[tuple[str, KnotPresentation], ...]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -344,6 +357,8 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise KnotTableError(f"entry {pos} has no name")
+        if name in table:
+            raise KnotTableError(f"entry {pos}: duplicate knot name {name!r}")
         try:
             if "pd" in entry:
                 pres = wirtinger_from_pd(PDCode.parse(entry["pd"]))
@@ -369,7 +384,7 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
                 raise
             raise KnotTableError(f"entry {name or pos}: {exc}") from exc
         table[name] = pres
-    return table
+    return tuple(table.items())
 
 
 def bundled_table_path() -> str:

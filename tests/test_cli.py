@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from talex import cli, theorems
+from talex import __version__, cli, knots, theorems
 from talex.algebra import (
     LaurentPolynomial,
     RationalFunction,
@@ -166,6 +167,35 @@ class TestVerify:
                                    "--n", "7", "--all-knots")
         assert code == 0 and len(report["results"]) == 6
         assert len(built) == 1
+
+    def test_parses_the_table_and_builds_the_parser_once(self, capsys,
+                                                          monkeypatch):
+        # three runs in one process: the bundled table is read three
+        # times, but its six knots are simplified during the first load
+        # only, and one parser serves all three command lines
+        simplified, parsers = [], []
+        real_simplify = knots.simplify_presentation
+        real_init = cli._Parser.__init__
+
+        def counting_simplify(pres):
+            simplified.append(pres)
+            return real_simplify(pres)
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "talex":
+                parsers.append(self)
+            real_init(self, *args, **kwargs)
+
+        knots._parse_knot_table.cache_clear()
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(knots, "simplify_presentation", counting_simplify)
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for _ in range(3):
+            code, report, _ = run_json(capsys, "verify", "--case", "cyclic",
+                                       "--n", "5", "--all-knots")
+            assert code == 0 and len(report["results"]) == 6
+        assert len(simplified) == 6
+        assert len(parsers) == 1
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "dihedral", "--p",
@@ -383,8 +413,14 @@ class TestTableSources:
          ("alexander", "--table", "{}", "--all-knots")),
         ({"knots": [{"name": ["a"], "pd": [[1, 4, 2, 5]]}]},
          ("alexander", "--table", "{}", "--all-knots")),
+        ({"knots": [{"name": "k", "pd": [[1, 4, 2, 5], [3, 6, 4, 1],
+                                         [5, 2, 6, 3]]},
+                    {"name": "k", "pd": [[4, 2, 5, 1], [8, 6, 1, 5],
+                                         [6, 3, 7, 4], [2, 7, 3, 8]]}]},
+         ("alexander", "--table", "{}", "--all-knots")),
     ], ids=["cayley-list", "cayley-int-table", "cayley-int-labels", "knots-int",
-            "knots-str-entry", "knots-int-pd", "knots-list-name"])
+            "knots-str-entry", "knots-int-pd", "knots-list-name",
+            "knots-duplicate-name"])
     def test_malformed_file_is_bad_input(self, capsys, tmp_path, content,
                                          argv):
         # a file of the wrong shape is bad input (exit 3), not a mismatch
@@ -446,6 +482,70 @@ class TestUsageErrors:
             main([flag])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+def fresh_parse(argv) -> dict:
+    """vars(args) from a parser built anew, the reused parser's oracle."""
+    return vars(cli.build_parser.__wrapped__().parse_args(argv))
+
+
+def parser_command_lines(monkeypatch) -> list[list[str]]:
+    """Every benchmark command line as the benchmark runs it, and one line
+    per subcommand with each of its options."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench"))
+    from workloads import WORKLOADS
+
+    return [argv + ["--format", "json"]
+            for lines in WORKLOADS.values() for argv in lines] + [
+        ["alexander", "--knot", "3_1", "--knot", "4_1", "--table", "t.json"],
+        ["compute", "--group", "D3", "--knot", "3_1", "--mod", "3",
+         "--up-to-conjugacy", "--budget", "100", "--format", "json"],
+        ["verify", "--case", "metacyclic", "--m", "3", "--p", "7", "--k",
+         "2", "--n", "4", "--all-knots", "--mod", "7", "--experimental"],
+        ["surjections", "--group", "A4", "--knot", "8_18",
+         "--up-to-conjugacy", "--budget", "9"],
+        ["groups", "list", "--format", "json"],
+    ]
+
+
+class TestParserReuse:
+    # main reuses one parser for the life of the process; every parse must
+    # give the namespace a parser built for that command line alone gives
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_matches_a_fresh_parser(self, monkeypatch, order):
+        lines = parser_command_lines(monkeypatch)
+        if order == "reverse":
+            lines.reverse()
+        parser = cli.build_parser()
+        for argv in lines:
+            assert vars(parser.parse_args(argv)) == fresh_parse(argv), argv
+        assert cli.build_parser() is parser
+
+    def test_repeated_knots_do_not_accumulate(self, capsys):
+        parser = cli.build_parser()
+        first = ["alexander", "--knot", "A", "--knot", "B"]
+        assert parser.parse_args(first).knot == ["A", "B"]
+        assert parser.parse_args(["alexander", "--knot", "C"]).knot == ["C"]
+        run(capsys, "alexander", "--knot", "3_1", "--knot", "4_1")
+        code, out, _ = run(capsys, "alexander", "--knot", "5_2")
+        assert code == 0 and out == "5_2: 2*t^2 - 3*t + 2\n"
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, out, err = run(capsys, "verify", "--case", "cyclic", "--bogus")
+        assert code == 3 and out == "" and "--bogus" in err
+        argv = ["alexander", "--knot", "3_1"]
+        assert vars(cli.build_parser().parse_args(argv)) == fresh_parse(argv)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "3_1: t^2 - t + 1\n"
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == __version__ + "\n"
 
 
 # one list and one dict, each placed at two depths of one value

@@ -29,6 +29,7 @@ from talex.homsearch import (
     regular_equivalence_classes,
 )
 from talex.knots import KnotPresentation, simplify_presentation
+from talex.theorems import catalog_under_24
 
 
 class TestEvaluateWord:
@@ -186,6 +187,39 @@ class TestSearch:
         minima = find_meridional_surjections(pres, g, up_to_conjugacy=True)
         assert sorted(calls) == sorted(orbits)
         assert len(orbits) > len(minima) == 24
+
+    @pytest.mark.parametrize("n", range(2, 20))
+    def test_central_class_needs_no_closure(self, table, monkeypatch, n):
+        # C_n has only classes {r}; where <r> = C_n, every leaf is
+        # (r, ..., r), so the search finds the oracle's surjections
+        # without closing a single subgroup
+        group = cyclic(n)
+        expected = {name: brute_force_surjections(pres, group)
+                    for name, pres in table.items()}
+        group.conjugacy_classes()  # the generates flags close subgroups
+        calls = []
+        real = FiniteGroup.subgroup_generated
+
+        def counted(self, gens):
+            calls.append(tuple(gens))
+            return real(self, gens)
+
+        monkeypatch.setattr(FiniteGroup, "subgroup_generated", counted)
+        for name, pres in table.items():
+            assert find_meridional_surjections(pres, group) == \
+                expected[name], name
+            assert find_meridional_surjections(
+                pres, group, up_to_conjugacy=True) == expected[name], name
+        assert calls == []
+
+    def test_central_generating_class_only_in_cyclic_groups(self):
+        # <r> = G for a central r makes G cyclic, so on every non-abelian
+        # group the search still closes a subgroup per orbit minimum
+        for name, group, _ in catalog_under_24():
+            for cls in group.conjugacy_classes():
+                if cls.generates and len(cls) == 1:
+                    assert group.element_order(cls.representative) == \
+                        group.order, name
 
     @pytest.mark.parametrize("group", [
         dihedral(25), dihedral(27), dp_semidirect_cp(5)],

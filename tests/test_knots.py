@@ -351,3 +351,53 @@ class TestKnotTable:
             {"knots": [{"name": "3_1", "pd": TREFOIL_PD}]}))
         got = load_knot_table(src)
         assert got["3_1"] == table["3_1"]
+
+
+def knot_table_text(**pd_codes) -> str:
+    return json.dumps({"knots": [{"name": name, "pd": pd}
+                                 for name, pd in pd_codes.items()]})
+
+
+FIGURE_EIGHT_PD = [[4, 2, 5, 1], [8, 6, 1, 5], [6, 3, 7, 4], [2, 7, 3, 8]]
+
+
+class TestKnotTableCache:
+    # load_knot_table reads its source on every call and parses each
+    # distinct text once
+    def test_rewritten_file_is_reread(self, table, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_text(knot_table_text(k=TREFOIL_PD))
+        assert load_knot_table(str(path)) == {"k": table["3_1"]}
+        path.write_text(knot_table_text(k=FIGURE_EIGHT_PD, j=TREFOIL_PD))
+        assert load_knot_table(str(path)) == {"k": table["4_1"],
+                                              "j": table["3_1"]}
+
+    def test_each_call_returns_a_fresh_dict(self, table, tmp_path):
+        path = tmp_path / "mutated.json"
+        path.write_text(knot_table_text(k=TREFOIL_PD))
+        first = load_knot_table(str(path))
+        first["k"] = table["4_1"]
+        first["extra"] = table["5_2"]
+        second = load_knot_table(str(path))
+        assert second == {"k": table["3_1"]} and second is not first
+
+    def test_equal_texts_share_presentations(self, tmp_path):
+        import io
+        text = knot_table_text(k=TREFOIL_PD)
+        path = tmp_path / "shared.json"
+        path.write_text(text)
+        assert load_knot_table(io.StringIO(text))["k"] is \
+            load_knot_table(str(path))["k"]
+
+    @pytest.mark.parametrize("text,match", [
+        ("{", "valid JSON"),
+        (json.dumps({"knots": [{"name": "k", "pd": TREFOIL_PD},
+                               {"name": "k", "pd": FIGURE_EIGHT_PD}]}),
+         "entry 1: duplicate knot name 'k'"),
+    ], ids=["malformed", "duplicate-name"])
+    def test_bad_text_raises_on_every_call(self, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for _ in range(3):
+            with pytest.raises(KnotTableError, match=match):
+                load_knot_table(str(path))
