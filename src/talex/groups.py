@@ -15,9 +15,9 @@ each generates the group, are read once from inner_automorphisms().
 Representations are by permutation matrices and are stored as column
 maps: perms[g][j] is the row of the single 1 in column j of the image of g.
 The regular representation's column maps are the rows of the Cayley
-table, so it costs no storage beyond the group.  Its splitting along a
-cyclic subgroup <a>, FiniteGroup.regular_factors, has block-monomial
-factors: column maps on the cosets of <a>, and one exponent e per block
+table, so it costs no storage beyond the group.  Its splitting along an
+abelian subgroup H, FiniteGroup.regular_factors, has block-monomial
+factors: column maps on the cosets of H, and one exponent e per block
 column for the block of multiplication by x^e on ZZ[x]/Phi_d.  Like the
 conjugation table, it is built once per group, on first use.
 
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
+from math import gcd, lcm
 
 from .algebra import cyclotomic_residues
 
@@ -56,7 +58,7 @@ class FiniteGroup:
         self.inverses = self._find_inverses()
         self._inner: tuple[tuple[int, ...], ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
-        self._split: tuple[MatrixRep, ...] | None = None
+        self._split: tuple[tuple[MatrixRep, int], ...] | None = None
         self._derived: frozenset[int] | None = None
 
     # -- construction-time checks ----------------------------------------
@@ -188,46 +190,69 @@ class FiniteGroup:
                 for g, ginv in enumerate(self.inverses)))
         return self._inner
 
-    def regular_factors(self, a: int | None = None
-                        ) -> tuple["MatrixRep", ...]:
-        """The regular representation split along the cyclic subgroup <a>
-        of order h: one factor per divisor d of h, in increasing d, whose
-        direct sum is conjugate to it over Q (proof in twisted).
+    def regular_factors(self, gens: tuple[int, ...] | None = None
+                        ) -> tuple[tuple["MatrixRep", int], ...]:
+        """The regular representation split along H = <a> x <b>, for gens
+        = (a,) or (a, b) commuting with <a> & <b> = {e}: pairs (factor,
+        multiplicity) whose direct sum with repetition is conjugate to it
+        over Q (proof in twisted).
 
-        Take the least element of each left coset of <a> as g_i, in
-        increasing order; then g*g_i = g_s(i) * a^e for one coset s(i)
-        and one e < h, read from row g of the Cayley table.  All factors
-        share these column maps s and exponents e; factor d has blocks of
-        size phi(d).  Without a, the element minimising the elimination
-        work sum_d (phi(d)*|G|/h)^3, the least one on ties, is used, and
-        that split is cached.
+        A character chi = (al, be) of H, mod L = lcm(|a|, |b|), has order
+        d = L / gcd(L, al, be) and sends h = a^u b^v to zeta_d^e, e = (al*u
+        + be*v)*d/L.  Its factor has block x^e mod Phi_d at (s(i), i) when
+        g*g_i = g_s(i) * h, for g_i the least elements of the left cosets
+        of H in increasing order.  One factor, in order of (d, chi), stands
+        for each orbit of chi under Galois conjugation and conjugation by
+        N_G(H), with the orbit's number of Galois orbits as multiplicity.
+        Without gens, H is the first <a> x <b>, a a class representative
+        and b in C_G(a), minimising the elimination work [G:H]^3 * sum over
+        y in H of phi(|y|)^2 (H and its characters are isomorphic), cyclic
+        H first on ties; that split is cached.
         """
-        if a is None:
+        c, e = self.cayley, self.identity
+        if gens is None:
             if self._split is None:
-                orders = [self.element_order(g) for g in self.elements()]
-                cost = {h: sum((len(cyclotomic_residues(d)[0])
-                                * self.order // h) ** 3
-                               for d in range(1, h + 1) if h % d == 0)
-                        for h in set(orders)}
-                self._split = self.regular_factors(
-                    min(self.elements(), key=lambda g: cost[orders[g]]))
+                cyc = [self.subgroup_generated((g,)) for g in self.elements()]
+                best = {}  # (work, not cyclic, (a, b)) per type of <a> x <b>
+                reps = [k.representative for k in self.conjugacy_classes()]
+                for a, b in product(reps, self.elements()):
+                    t = (len(cyc[a]), len(cyc[b]))
+                    if t not in best and c[a][b] == c[b][a] \
+                            and len(cyc[a] & cyc[b]) == 1:
+                        best[t] = ((self.order // (t[0] * t[1])) ** 3 * sum(
+                            _totient(lcm(len(cyc[x]), len(cyc[y]))) ** 2
+                            for x in cyc[a] for y in cyc[b]), t[1] > 1, (a, b))
+                self._split = self.regular_factors(min(best.values())[2])
             return self._split
-        c, h = self.cayley, self.element_order(a)
-        coset, power, reps = [0] * self.order, [-1] * self.order, []
-        for g in self.elements():
-            if power[g] < 0:
-                y = g
-                for e in range(h):
-                    coset[y], power[y] = len(reps), e
-                    y = c[y][a]
-                reps.append(g)
-        images = [[row[r] for r in reps] for row in c]
-        perms = tuple(tuple(coset[y] for y in ys) for ys in images)
-        exponents = tuple(tuple(power[y] for y in ys) for ys in images)
-        return tuple(
-            MatrixRep(self, len(cyclotomic_residues(d)[0]) * len(reps),
-                      perms, exponents, d)
-            for d in range(1, h + 1) if h % d == 0)
+        a, b = (*gens, e)[:2]
+        ha, hb = self.element_order(a), self.element_order(b)
+        coord = {c[self.power(a, u)][self.power(b, v)]: (u, v)
+                 for u in range(ha) for v in range(hb)}
+        if len(gens) > 2 or c[a][b] != c[b][a] or len(coord) != ha * hb:
+            raise ValueError(f"{tuple(gens)} gives no direct product <a> x <b>")
+        reps = sorted({min(c[g][y] for y in coord) for g in self.elements()})
+        where = {c[r][y]: (i, u, v)
+                 for i, r in enumerate(reps) for y, (u, v) in coord.items()}
+        images = [[where[row[r]] for r in reps] for row in c]
+        perms = tuple(tuple(i for i, _, _ in ys) for ys in images)
+        # chi . c_n as (u1, v1, u2, v2): c_n(a) = a^u1 b^v1, c_n(b) = a^u2 b^v2
+        normal = {coord[s[a]] + coord[s[b]] for s in self.inner_automorphisms()
+                  if s[a] in coord and s[b] in coord}
+        split, seen, L = [], set(), lcm(ha, hb)
+        for d, al, be in sorted((L // gcd(L, al, be), al, be)
+                                for al in range(0, L, L // ha)
+                                for be in range(0, L, L // hb)):
+            if (al, be) not in seen:
+                orbit = {((al * u1 + be * v1) * k % L,
+                          (al * u2 + be * v2) * k % L)
+                         for u1, v1, u2, v2 in normal
+                         for k in range(1, L + 1) if gcd(k, L) == 1}
+                seen |= orbit
+                exps = tuple(tuple((al * u + be * v) * d // L % d
+                                   for _, u, v in ys) for ys in images)
+                split.append((MatrixRep(self, _totient(d) * len(reps), perms,
+                                        exps, d), len(orbit) // _totient(d)))
+        return tuple(split)
 
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
         """The classes in order of their least members: the first element
@@ -292,6 +317,10 @@ class ConjugacyClass:
 
     def __len__(self):
         return len(self.members)
+
+
+def _totient(d: int) -> int:
+    return len(cyclotomic_residues(d)[0])
 
 
 # -- catalog constructors -------------------------------------------------
@@ -522,21 +551,21 @@ class MatrixRep:
     exponents: tuple[tuple[int, ...], ...] | None = None
     cyclotomic: int = 1
 
-    def factors(self) -> tuple["MatrixRep", ...]:
-        """Representations whose direct sum is conjugate to this one over
-        Q: FiniteGroup.regular_factors when the column maps are the rows
-        of the Cayley table, which makes this the regular representation
-        whoever built it, and this representation alone otherwise."""
+    def factors(self) -> tuple[tuple["MatrixRep", int], ...]:
+        """Pairs (factor, multiplicity) whose direct sum with repetition is
+        conjugate to this representation over Q: FiniteGroup.regular_factors
+        when the column maps are the rows of the Cayley table, which makes
+        this the regular representation whoever built it, else (self, 1)."""
         if self.exponents is None and self.perms == self.group.cayley:
             return self.group.regular_factors()
-        return (self,)
+        return ((self, 1),)
 
     def validate(self) -> None:
         group, perms, d = self.group, self.perms, self.cyclotomic
         exps = self.exponents or tuple((0,) * len(p) for p in perms)
         if len(perms) != group.order or len(exps) != group.order:
             raise GroupValidationError("one image per element required")
-        size = len(cyclotomic_residues(d)[0])
+        size = _totient(d)
         blocks = tuple(range(self.dimension // size))
         for g, perm in enumerate(perms):
             if len(perm) * size != self.dimension \

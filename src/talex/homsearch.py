@@ -154,20 +154,28 @@ def regular_equivalence_classes(homs: list[Homomorphism]
       element is a positive word w in the s_i, so phi(x * w) = phi(x) *
       phi(w) by induction on the length of w, and phi is an automorphism
       that sends s to s'.
+
+    When every image is one g, the walk's key depends only on m and the
+    order of g, and that pair is the key, with no walk: onto G, G = <g> is
+    cyclic, and g^k -> g'^k is an automorphism for generators g and g'.
     """
     classes: dict[tuple, list[Homomorphism]] = {}
     for h in homs:
-        cayley, e = h.group.cayley, h.group.identity
-        number = [-1] * h.group.order
-        number[e] = 0
-        walk, key = [e], []
-        for x in walk:
-            row = cayley[x]
-            for s in h.images:
-                k = number[row[s]]
-                if k < 0:
-                    k = number[row[s]] = len(walk)
-                    walk.append(row[s])
-                key.append(k)
+        key = [len(h.images)]
+        if len(set(h.images)) == 1:
+            key.append(h.group.element_order(h.images[0]))
+        else:
+            cayley, e = h.group.cayley, h.group.identity
+            number = [-1] * h.group.order
+            number[e] = 0
+            walk = [e]
+            for x in walk:
+                row = cayley[x]
+                for s in h.images:
+                    k = number[row[s]]
+                    if k < 0:
+                        k = number[row[s]] = len(walk)
+                        walk.append(row[s])
+                    key.append(k)
         classes.setdefault((h.group, tuple(key)), []).append(h)
     return list(classes.values())

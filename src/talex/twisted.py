@@ -36,31 +36,33 @@ hands every surjection its class's result.
 Block rows are ordered by (relator, representation row) and block columns
 by (kept generator ascending, representation column).
 
-The numerator is multiplicative over a splitting of the representation,
-and the regular representation splits along any cyclic subgroup.  Let a
-have order h.  Right multiplication by a commutes with every left
-multiplication, so Q[G] is a right module over Q[<a>] = Q[x]/(x^h - 1),
-free on the left-coset representatives g_i of <a>.  By the Chinese
-remainder theorem Q[x]/(x^h - 1) is the product of the Q[x]/Phi_d over the
-divisors d of h, so rho_reg is conjugate over Q to the direct sum of the
-factors rho_d = Q[G] tensor_{Q[<a>]} Q[x]/Phi_d, of dimension
-phi(d)*|G|/h.  rho_d has the integer basis g_i tensor x^j, j < phi(d), on
-which g, with g*g_i = g_s(i) * a^e, acts by the block-monomial matrix
-whose block (s(i), i) is multiplication by x^e modulo Phi_d
-(groups.FiniteGroup.regular_factors).  Conjugating the block matrix by
-I_{m-1} tensor the change of basis, and then ordering rows and columns by
-factor with one permutation on both sides, makes it block diagonal with
-one block per d; neither step changes the determinant.  So over Q(t) the
-block determinant of rho_reg is the product over d of the block
-determinants of the rho_d.  Both sides are integer Laurent polynomials,
-so the identity holds in ZZ[t^+-1] and, since a determinant commutes with
-reduction of its entries, over every F_p, p | h included: the numerator
-stays bit-identical.  Elimination then runs on (m-1)*phi(d)*|G|/h rows per
-factor; FiniteGroup.regular_factors picks the a minimising
-sum_d (phi(d)*|G|/h)^3.  Unlike a lift to blocks over F_p[t][x]/(x^h - 1),
-whose packed degree grows like N^2 * h, each factor is a matrix over
-F_p[t] or ZZ[t] in t alone.  Any other representation is its own single
-factor (groups.MatrixRep.factors).
+The numerator is multiplicative over a splitting of the representation, and
+the regular representation splits along any abelian subgroup H = <a> x <b>.
+Right multiplication by H commutes with every left multiplication, so Q[G]
+is a right Q[H]-module, free on the left-coset representatives g_i of H.
+Q[H] is commutative and semisimple, so by Wedderburn it is the product of
+one field Q(chi) = Q(zeta_d) per Galois orbit O of characters chi of H of
+order d, with h acting by chi(h).  So rho_reg is conjugate over Q to the
+direct sum of the induced representations rho_O = Q[G] tensor_{Q[H]}
+Q(chi), of dimension phi(d)*[G:H].  rho_O has the integer basis g_i tensor
+zeta_d^j, j < phi(d), on which g, with g*g_i = g_s(i) * h, acts by the
+block-monomial matrix whose block (s(i), i) is multiplication by chi(h) =
+zeta_d^e, x^e modulo Phi_d (groups.FiniteGroup.regular_factors).
+Conjugating the block matrix by I_{m-1} tensor the change of basis, and
+then ordering rows and columns by factor with one permutation on both
+sides, makes it block diagonal with one block per O; neither step changes
+the determinant.  So over Q(t) the block determinant of rho_reg is the
+product over O of the block determinants of the rho_O.  For n in the
+normalizer of H, g tensor w -> g*n^-1 tensor w maps the rho_O of chi . c_n,
+c_n(h) = n*h*n^-1, onto that of chi, so the factors of O and O . c_n are
+conjugate and their block determinants agree: regular_factors keeps one
+factor per orbit of the normalizer on the O, and the numerator raises its
+determinant to the orbit's size.  All these determinants are integer
+Laurent polynomials, so each identity holds in ZZ[t^+-1] and, since a
+determinant commutes with reduction of its entries, over every F_p, p | |H|
+included: the numerator stays bit-identical.  Elimination then runs on
+(m-1)*phi(d)*[G:H] rows per factor, over F_p[t] or ZZ[t].  Any other
+representation is its own single factor (groups.MatrixRep.factors).
 
 When every generator maps to one element g, as for every surjection onto
 an abelian group (meridians are conjugate), each Fox block is a Laurent
@@ -193,15 +195,16 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     rho(f(x_j)); it is nonzero over every domain, so any choice is valid.
     When f sends every generator to one element g, the numerator is the
     permutation norm of the Alexander minor over rho(g) (see the module
-    docstring).  Otherwise it is the product, over the factors of
-    rep.factors(), of the determinants of their block matrices: one per
-    divisor d of the order of the splitting element for the regular
-    representation, and rep's own block matrix for any other.  Over Q the
-    regular representation is conjugate to the direct sum of its factors,
-    so its block matrix is conjugate to the block diagonal of theirs; both
-    sides of the determinant identity are integer polynomials, so it holds
-    exactly over the integers and every F_p (proof in the module
-    docstring).
+    docstring).  Otherwise it is the product, over the pairs (factor,
+    multiplicity) of rep.factors(), of the factor's block determinant to
+    the power multiplicity: for the regular representation one factor per
+    normalizer orbit of Galois orbits of characters of the splitting
+    subgroup H, and rep's own block matrix for any other.  Over Q the
+    regular representation is conjugate to the direct sum of its factors
+    with repetition, so its block matrix is conjugate to the block
+    diagonal of theirs; both sides of the determinant identity are integer
+    polynomials, so it holds exactly over the integers and every F_p
+    (proof in the module docstring).
     """
     if rep.group is not f.group:
         raise ValueError("representation and homomorphism target differ")
@@ -227,14 +230,14 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
         fox = [[fox_derivative(r, j) for j in range(1, m + 1) if j != dropped]
                for r in pres.relators]
         num = LaurentPolynomial.one(domain)
-        for factor in rep.factors():
+        for factor, multiplicity in rep.factors():
             dim = factor.dimension
             blocks = [[evaluate_rep_phi(d, f, factor, domain) for d in row]
                       for row in fox]
             num = num * determinant(PolyMatrix.from_rows(
                 [[block.entry(i, jj) for block in block_row
                   for jj in range(dim)]
-                 for block_row in blocks for i in range(dim)]))
+                 for block_row in blocks for i in range(dim)])) ** multiplicity
 
     normalized = rational_normalize(RationalFunction(num, den))
     return TwistedAlexanderResult(num, den, dropped, normalized)

@@ -8,8 +8,9 @@ a changed CLI result therefore fails here as well as in the benchmark.
 On the verify workloads the Wada layer must run once per automorphism
 class of surjections, every F_p determinant of verify-modp must run on
 the packed F_p kernel rather than fall back to the packed ZZ route and
-have at most 14 rows (one cyclotomic factor of the regular
-representation, not its whole block matrix), and
+have at most 14 rows (one factor of the regular representation's split
+along an abelian subgroup, not its whole block matrix), the 22 of them
+eliminating sum n^3 = 10 414 rows cubed, and
 verify-exact must compute no determinant larger than an Alexander minor:
 its numerators and orbit products are cycle norms, not eliminations.  Each
 verify-exact check normalises three rational functions, the invariant, the
@@ -73,9 +74,14 @@ def test_verify_modp_stays_on_the_fp_kernel(monkeypatch, capsys):
     runs = [n for p, n, _ in calls if p is not None]
     assert len(runs) >= 9
     assert runs == [1] * len(runs)
-    # the regular representation is split along a cyclic subgroup, so no
-    # elimination sees the full 24-row block matrix of A4 on 8_18
-    assert max(rows for p, _, rows in calls if p is not None) <= 14
+    # the regular representation is split along an abelian subgroup, so no
+    # elimination sees the full 24-row block matrix of A4 on 8_18; A4
+    # splits along V4 into 3 + 3^3 (one determinant per normalizer orbit
+    # of characters), ten 6-row determinants where a cyclic split needs
+    # ten of 12 rows
+    rows = [n for p, _, n in calls if p is not None]
+    assert max(rows) <= 14
+    assert (len(rows), sum(n ** 3 for n in rows)) == (22, 10_414)
 
 
 def test_verify_exact_runs_only_alexander_minors(monkeypatch, capsys):

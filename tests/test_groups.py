@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -433,14 +434,34 @@ class TestRepresentations:
     def test_validate_rejects_a_wrong_block_exponent(self):
         # the sign factor of D3 split along the involution 3: each element
         # acts on the three cosets by a permutation and signs (-1)^e
-        [trivial, sign] = dihedral(3).regular_factors(3)
-        assert (trivial.dimension, sign.dimension) == (3, 3)
+        [(trivial, k), (sign, l)] = dihedral(3).regular_factors((3,))
+        assert (trivial.dimension, sign.dimension, k, l) == (3, 3, 1, 1)
         sign.validate()
         exps = list(sign.exponents)
         exps[1] = (exps[1][0] + 1,) + exps[1][1:]
         bad = MatrixRep(sign.group, 3, sign.perms, tuple(exps), 2)
         with pytest.raises(GroupValidationError, match="homomorphism"):
             bad.validate()
+
+    def test_ties_go_to_the_cyclic_split(self):
+        # C6 relabelled so that a^2, a^3 come first and e last: <a^2> x
+        # <a^3> = <a> does the same work as the cyclic split along a (now
+        # 3), and precedes it, but the cyclic split wins the tie
+        index = {2: 0, 3: 1, 4: 2, 1: 3, 5: 4, 0: 5}
+        table = [[0] * 6 for _ in range(6)]
+        for x, y in itertools.product(range(6), repeat=2):
+            table[index[x]][index[y]] = index[(x + y) % 6]
+        g = FiniteGroup(table)
+        assert g.regular_factors() == g.regular_factors((3,)) \
+            != g.regular_factors((0, 1))
+
+    @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (3, 3), (1, 0, 0)],
+                             ids=["a-a2", "a-b", "b-b", "three"])
+    def test_split_needs_a_direct_product(self, pair):
+        # <a> and <a^2> meet, a and b do not commute, <b> meets itself, and
+        # the split takes at most two generators
+        with pytest.raises(ValueError, match="direct product"):
+            dihedral(3).regular_factors(pair)
 
     def test_validate_rejects_wrong_identity_and_count(self):
         g = cyclic(2)

@@ -336,6 +336,21 @@ class TestRegularEquivalence:
         classes = regular_equivalence_classes(surj)
         assert len(classes) == 1
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equal_images_on_cyclic_groups(self, m):
+        # images all equal to one g are keyed by m and the order of g, with
+        # no Cayley-graph walk: against the all-pairs oracle on every pair
+        # of such tuples whose source generates
+        for g in (cyclic(1), cyclic(2), cyclic(12), cyclic(19)):
+            for x, y in itertools.product(g.elements(), repeat=2):
+                src, dst = (x,) * m, (y,) * m
+                if len(g.subgroup_generated(src)) == g.order:
+                    assert same_class(g, src, dst) == \
+                        extends_to_automorphism_all_pairs(g, src, dst)
+        g = cyclic(5)
+        assert len(regular_equivalence_classes(
+            [Homomorphism(g, (1,) * m), Homomorphism(g, (1,) * (m + 1))])) == 2
+
     def test_metacyclic_collapse(self, table):
         g = metacyclic(3, 7, 2)
         surj = find_meridional_surjections(table["6_1"], g,

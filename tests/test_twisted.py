@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from talex.algebra import (
     reduce_mod,
 )
 from talex.groups import (
+    MatrixRep,
     alternating4,
     cyclic,
     d3_semidirect_c3,
@@ -476,12 +478,69 @@ class TestInvariants:
 
 
 def split_numerator(pres, f, factors, domain):
-    """The product of the factors' block determinants, x_m dropped."""
+    """The product of the factors' block determinants, each raised to its
+    multiplicity, x_m dropped."""
     num = LaurentPolynomial.one(domain)
-    for factor in factors:
-        num = num * determinant(PolyMatrix.from_rows(
-            block_rows(pres, f, factor, domain, pres.generators)))
+    for factor, multiplicity in factors:
+        num = num * determinant(PolyMatrix.from_rows(block_rows(
+            pres, f, factor, domain, pres.generators))) ** multiplicity
     return num
+
+
+def abelian_pairs(g):
+    """One (a, b) per conjugacy class of subgroups <a> x <b> of g: a and b
+    commute and <a> & <b> = {e}; b = e gives the cyclic subgroups and a =
+    b = e the trivial one."""
+    pairs, seen = [], set()
+    for a in g.elements():
+        powers_a = g.subgroup_generated((a,))
+        for b in g.elements():
+            if g.mul(a, b) != g.mul(b, a) or len(
+                    powers_a & g.subgroup_generated((b,))) != 1:
+                continue
+            sub = g.subgroup_generated((a, b))
+            if sub not in seen:
+                seen.update(frozenset(g.conjugate(y, x) for y in sub)
+                            for x in g.elements())
+                pairs.append((a, b))
+    return pairs
+
+
+def galois_orbit_factors(g, a, b):
+    """Oracle for FiniteGroup.regular_factors without the normalizer merge:
+    one factor Ind_H^G Q(chi) per Galois orbit of characters chi of H =
+    <a> x <b>, each built element by element from its coset
+    decomposition."""
+    ha, hb = g.element_order(a), g.element_order(b)
+    big = math.lcm(ha, hb)
+    coords = {g.mul(g.power(a, u), g.power(b, v)): (u, v)
+              for u in range(ha) for v in range(hb)}
+    reps = []
+    for x in g.elements():
+        if all(g.mul(g.inv(r), x) not in coords for r in reps):
+            reps.append(x)
+
+    def decompose(y):  # y = reps[i] * a^u b^v
+        i = next(i for i, r in enumerate(reps)
+                 if g.mul(g.inv(r), y) in coords)
+        return (i,) + coords[g.mul(g.inv(reps[i]), y)]
+
+    factors, seen = [], set()
+    for al in range(0, big, big // ha):
+        for be in range(0, big, big // hb):
+            if (al, be) in seen:
+                continue
+            seen |= {(k * al % big, k * be % big) for k in range(big)
+                     if math.gcd(k, big) == 1}
+            d = big // math.gcd(big, al, be)
+            cols = [[decompose(g.mul(x, r)) for r in reps]
+                    for x in g.elements()]
+            factors.append(MatrixRep(
+                g, int(totient(d)) * len(reps),
+                tuple(tuple(i for i, _, _ in col) for col in cols),
+                tuple(tuple((al * u + be * v) * d // big % d
+                            for _, u, v in col) for col in cols), d))
+    return factors
 
 
 def connected_sum(a, b):
@@ -534,38 +593,66 @@ class TestCyclotomicSplit:
 
     def test_numerator_on_a_connected_sum(self, table):
         # 4_1 # 4_1 onto D5sC5 mod 5: the 100 x 100 block matrix against
-        # two 50 x 50 factors (the split is along an involution)
+        # the split along C5 x C5, a 2 x 2 trivial factor and six 8 x 8
+        # ones, one per Galois orbit of nontrivial characters
         pres = connected_sum(table["4_1"], table["4_1"])
         g, domain = dp_semidirect_cp(5), prime_field(5)
         f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
         rep = regular_representation(g)
-        assert [r.dimension for r in rep.factors()] == [25, 25]
+        assert [(r.dimension, r.cyclotomic, k) for r, k in rep.factors()] \
+            == [(2, 1, 1)] + [(8, 5, 1)] * 6
         oracle = determinant(PolyMatrix.from_rows(
             block_rows(pres, f, rep, domain, pres.generators)))
         assert not oracle.is_zero
         assert wada_invariant(pres, f, rep, domain).numerator == oracle
 
-    @pytest.mark.parametrize("g,knot,domain", [
-        (alternating4(), "8_18", prime_field(2)),
-        (dicyclic(5), "7_4", prime_field(5)),
-        (metacyclic(3, 7, 2), "6_1", prime_field(7)),
-        (dihedral(3), "3_1", INTEGERS),
-    ], ids=["A4-8_18-2", "Dic5-7_4-5", "G(3,7|2)-6_1-7", "D3-3_1-ZZ"])
-    def test_choice_of_element_does_not_matter(self, table, g, knot, domain):
+    def test_numerator_of_d7sc7_against_the_cyclic_split(self, table):
+        # 5_2 # 5_2 onto D7sC7 mod 7: the split along C7 x C7 (nine
+        # determinants of at most 24 rows) against the best cyclic split,
+        # along an involution (two determinants of 98 rows)
+        pres = connected_sum(table["5_2"], table["5_2"])
+        g, domain = dp_semidirect_cp(7), prime_field(7)
+        f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
+        rep = regular_representation(g)
+        assert [(r.dimension, k) for r, k in rep.factors()] \
+            == [(2, 1)] + [(12, 1)] * 8
+        cyclic_split = g.regular_factors((g.label("c"),))
+        assert [(r.dimension, k) for r, k in cyclic_split] == [(49, 1)] * 2
+        oracle = split_numerator(pres, f, cyclic_split, domain)
+        assert not oracle.is_zero
+        assert wada_invariant(pres, f, rep, domain).numerator == oracle
+
+    @pytest.mark.parametrize("g,knot,domain,subgroups", [
+        (alternating4(), "8_18", prime_field(2), 4),  # 1, C2, C3, V4
+        (dicyclic(5), "7_4", prime_field(5), 5),  # 1, C2, C4, C5, C10
+        (metacyclic(3, 7, 2), "6_1", prime_field(7), 3),  # 1, C3, C7
+        (dihedral(3), "3_1", INTEGERS, 3),  # 1, C2, C3
+        # 1, C2, three classes of C3, C6 and C3 x C3
+        (direct_product(dihedral(3), cyclic(3)), "3_1", INTEGERS, 7),
+    ], ids=["A4-8_18-2", "Dic5-7_4-5", "G(3,7|2)-6_1-7", "D3-3_1-ZZ",
+            "D3xC3-3_1-ZZ"])
+    def test_choice_of_element_does_not_matter(self, table, g, knot,
+                                               domain, subgroups):
+        # every <a> x <b> up to conjugacy, cyclic and trivial ones included:
+        # the factors are representations with the right blocks, their
+        # dimensions with multiplicity add up to |G|, and the numerator is
+        # the full |G|-block determinant
         pres = table[knot]
         f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
-        expected = wada_invariant(pres, f, regular_representation(g),
-                                  domain).numerator
+        expected = determinant(PolyMatrix.from_rows(block_rows(
+            pres, f, regular_representation(g), domain, pres.generators)))
         x = symbols("x")
-        for a in g.elements():
-            if a == g.identity:
-                continue
-            h = g.element_order(a)
-            factors = g.regular_factors(a)
-            divisors = [d for d in range(1, h + 1) if h % d == 0]
-            assert [r.cyclotomic for r in factors] == divisors
-            assert sum(r.dimension for r in factors) == g.order
-            for factor in factors:
+        pairs = abelian_pairs(g)
+        assert len(pairs) == subgroups
+        for a, b in pairs:
+            factors = g.regular_factors((a, b))
+            assert sum(r.dimension * k for r, k in factors) == g.order
+            index = g.order // (g.element_order(a) * g.element_order(b))
+            assert all(r.dimension == totient(r.cyclotomic) * index
+                       for r, _ in factors)
+            assert [r.cyclotomic for r, _ in factors] \
+                == sorted(r.cyclotomic for r, _ in factors)
+            for factor, _ in factors:
                 factor.validate()
                 d, perms, exps = factor.cyclotomic, factor.perms, \
                     factor.exponents
@@ -580,8 +667,8 @@ class TestCyclotomicSplit:
                 residues = cyclotomic_residues(d)
                 for e in range(d):
                     assert Matrix(residues[e]) == (companion ** e)[:, 0]
-                # rho_d(gh) = rho_d(g) rho_d(h) on all pairs: block column
-                # j of the product is x^(e_h(j) + e_g(s_h(j))) in block row
+                # rho(gh) = rho(g) rho(h) on all pairs: block column j of
+                # the product is x^(e_h(j) + e_g(s_h(j))) in block row
                 # s_g(s_h(j)), and x^d = 1 on ZZ[x]/Phi_d
                 for u in g.elements():
                     for v in g.elements():
@@ -591,4 +678,38 @@ class TestCyclotomicSplit:
                         assert all(
                             (exps[uv][j] - exps[v][j] - exps[u][i]) % d == 0
                             for j, i in enumerate(perms[v]))
-            assert split_numerator(pres, f, factors, domain) == expected, a
+            assert split_numerator(pres, f, factors, domain) == expected, \
+                (a, b)
+
+    @pytest.mark.parametrize("g,knot,pair,merged,unmerged", [
+        (alternating4(), "8_18",  # V4, from two commuting involutions
+         lambda g: (g.label("b"), g.conjugate(g.label("b"), g.label("a"))),
+         [(3, 1), (3, 3)], 4),
+        (direct_product(dihedral(3), cyclic(3)), "3_1",  # C3 x C3
+         lambda g: (g.label("a"), g.label("a'")),
+         [(2, 1), (4, 1), (4, 1), (4, 2)], 5),
+    ], ids=["A4-8_18", "D3xC3-3_1"])
+    @pytest.mark.parametrize("domain", [INTEGERS, prime_field(2)],
+                             ids=["ZZ", "F2"])
+    def test_normalizer_merge(self, table, g, knot, pair, merged, unmerged,
+                              domain):
+        # the merged split, one determinant per normalizer orbit raised to
+        # its size, against one determinant per Galois orbit, built by the
+        # oracle; the automatic choice is this split
+        a, b = pair(g)
+        factors = g.regular_factors((a, b))
+        assert [(r.dimension, k) for r, k in factors] == merged
+        assert [(r.dimension, k) for r, k in g.regular_factors()] == merged
+        oracle = galois_orbit_factors(g, a, b)
+        assert len(oracle) == unmerged
+        assert sorted((r.dimension, r.cyclotomic) for r in oracle) == sorted(
+            (r.dimension, r.cyclotomic) for r, k in factors for _ in range(k))
+        pres = table[knot]
+        f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
+        assert len(set(f.images)) > 1
+        num = split_numerator(pres, f, factors, domain)
+        assert not num.is_zero
+        assert num == split_numerator(pres, f, [(r, 1) for r in oracle],
+                                      domain)
+        assert wada_invariant(pres, f, regular_representation(g),
+                              domain).numerator == num
