@@ -288,18 +288,10 @@ def _case_from_args(args):
         raise CliError(
             "the conjecture case is experimental; pass --experimental")
     try:
-        case = make_case(args.case, n=args.n, p=args.p, m=args.m, k=args.k)
+        return make_case(args.case, modulus=args.mod, n=args.n, p=args.p,
+                         m=args.m, k=args.k)
     except ValueError as exc:
         raise CliError(str(exc))
-    if args.mod is not None:
-        _coefficient_domain(args.mod)
-        if case.name == "cyclic":
-            case = make_case("cyclic", n=args.n, modulus=args.mod)
-        elif args.mod != case.modulus:
-            raise CliError(
-                f"--mod {args.mod} conflicts with the {case.name} case, "
-                f"whose congruence lives mod {case.modulus}")
-    return case
 
 
 def cmd_verify(args) -> int:

@@ -28,16 +28,17 @@ Sketch of the proof:
   denominator is nonzero (Wada, Topology 33 (1994)).  When G' = 1 the
   two modules coincide and no reduction is needed.
 
-The cases that ``make_case`` builds, with (k, |G'|) and the modulus:
+The rows of ``_CASES`` give each case's parameters, group and modulus;
+their (k, |G'|) are:
 
-    cyclic C_n                  (n, 1)      none, or any prime
-    dihedral D_q, q = p^n       (2, q)      p
-    D_q x C_m, m odd            (2m, q)     p
-    metacyclic G(m, p | k)      (m, p)      p
-    dicyclic Dic_q              (4, q)      p
-    A4                          (3, 4)      2
-    D3 x| C3                    (2, 9)      3
-    conjecture D_p x| C_p       (2, p^2)    p
+    cyclic C_n                  (n, 1)
+    dihedral D_q, q = p^n       (2, q)
+    D_q x C_m, m odd            (2m, q)
+    metacyclic G(m, p | k)      (m, p)
+    dicyclic Dic_q              (4, q)
+    A4                          (3, 4)
+    D3 x| C3                    (2, 9)
+    conjecture D_p x| C_p       (2, p^2)
 
 ``rhs`` checks both conditions on the group it is given rather than
 assuming them.  ``verify_congruence`` still computes the left side on G
@@ -52,6 +53,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .algebra import (
     INTEGERS,
@@ -78,31 +80,47 @@ from .homsearch import DEFAULT_BUDGET, find_meridional_surjections
 from .knots import KnotPresentation
 from .twisted import alexander_polynomial, invariants
 
-# case name -> group from the case's parameters; the constructors are looked
-# up when called, so rebinding a module-level name reaches every case
-_CASE_GROUPS = {
-    "cyclic": lambda n: cyclic(n),
-    "dihedral": lambda p, n: dihedral(p ** n),
-    "dihedral_times_cyclic":
-        lambda p, n, m: direct_product(dihedral(p ** n), cyclic(m)),
-    "metacyclic": lambda m, p, k: metacyclic(m, p, k),
-    "dicyclic": lambda p, n: dicyclic(p ** n),
-    "a4": lambda: alternating4(),
-    "d3c3": lambda: d3_semidirect_c3(),
-    "conjecture": lambda p: dp_semidirect_cp(p),
+
+class _Case(NamedTuple):
+    parameters: dict[str, int | None]
+    group: Callable[..., FiniteGroup]
+    modulus: str | int | None
+
+
+def _dihedral_times_cyclic(p: int, n: int, m: int) -> FiniteGroup:
+    if m % 2 == 0:
+        raise ValueError(
+            f"dihedral x cyclic case needs m odd, got {m}: D_q x C_m "
+            "then has the non-cyclic abelianization C2 x C_m, so no knot "
+            "group surjects onto it")
+    return direct_product(dihedral(p ** n), cyclic(m))
+
+
+# one row per case: its parameters in order with their defaults (None for a
+# required one), its group built from them, and the modulus its congruence
+# lives at: a parameter's name, a fixed prime, or None for the exact cyclic
+# identity.  The group builders look the constructors up when called, so
+# rebinding a module-level name reaches every case
+_CASES = {
+    "cyclic": _Case({"n": None}, lambda n: cyclic(n), None),
+    "dihedral": _Case({"p": None, "n": 1}, lambda p, n: dihedral(p ** n), "p"),
+    "dihedral_times_cyclic": _Case({"p": None, "n": 1, "m": None},
+                                   _dihedral_times_cyclic, "p"),
+    "metacyclic": _Case({"m": None, "p": None, "k": None},
+                        lambda m, p, k: metacyclic(m, p, k), "p"),
+    "dicyclic": _Case({"p": None, "n": 1}, lambda p, n: dicyclic(p ** n), "p"),
+    "a4": _Case({}, lambda: alternating4(), 2),
+    "d3c3": _Case({}, lambda: d3_semidirect_c3(), 3),
+    "conjecture": _Case({"p": None}, lambda p: dp_semidirect_cp(p), "p"),
 }
-CASE_NAMES = tuple(_CASE_GROUPS)
+CASE_NAMES = tuple(_CASES)
 
 
 @dataclass(frozen=True)
 class TheoremCase:
-    """A congruence formula instance: case name, integer parameters, and
-    the modulus the congruence lives at (None for the exact cyclic case).
-
-    parameters: cyclic (n,); dihedral and dicyclic (p, n) with q = p^n;
-    dihedral_times_cyclic (p, n, m); metacyclic (m, p, k);
-    a4 and d3c3 (); conjecture (p,).
-    """
+    """A congruence formula instance: case name, integer parameters in the
+    order of the case's ``_CASES`` row, and the modulus the congruence
+    lives at (None for the exact cyclic case)."""
 
     name: str
     parameters: tuple[int, ...]
@@ -126,65 +144,54 @@ def _odd_prime(p: int | None, what: str) -> int:
     return p
 
 
-def make_case(name: str, *, n: int | None = None, p: int | None = None,
-              m: int | None = None, k: int | None = None,
-              modulus: int | None = None) -> TheoremCase:
-    """Build and validate a TheoremCase; the default modulus is inferred
-    from the case (dihedral q = p^n implies mod p, and so on)."""
-    if name == "cyclic":
-        if n is None or n < 1:
-            raise ValueError("cyclic case needs n >= 1")
-        return TheoremCase("cyclic", (n,), modulus)
-    if name == "dihedral":
-        _odd_prime(p, "dihedral case")
-        n = 1 if n is None else n
-        if n < 1:
-            raise ValueError("dihedral case needs n >= 1")
-        return TheoremCase("dihedral", (p, n), modulus or p)
-    if name == "dihedral_times_cyclic":
-        _odd_prime(p, "dihedral x cyclic case")
-        n = 1 if n is None else n
-        if n < 1 or m is None or m < 1:
-            raise ValueError("dihedral x cyclic case needs n >= 1 and m >= 1")
-        if m % 2 == 0:
-            raise ValueError(
-                f"dihedral x cyclic case needs m odd, got {m}: D_q x C_m "
-                "then has the non-cyclic abelianization C2 x C_m, so no knot "
-                "group surjects onto it")
-        return TheoremCase("dihedral_times_cyclic", (p, n, m), modulus or p)
-    if name == "metacyclic":
-        _odd_prime(p, "metacyclic case")
-        if m is None or k is None:
-            raise ValueError("metacyclic case needs m and k")
-        metacyclic(m, p, k)  # full precondition validation
-        return TheoremCase("metacyclic", (m, p, k), modulus or p)
-    if name == "dicyclic":
-        _odd_prime(p, "dicyclic case")
-        n = 1 if n is None else n
-        if n < 1:
-            raise ValueError("dicyclic case needs n >= 1")
-        return TheoremCase("dicyclic", (p, n), modulus or p)
-    if name == "a4":
-        return TheoremCase("a4", (), modulus or 2)
-    if name == "d3c3":
-        return TheoremCase("d3c3", (), modulus or 3)
-    if name == "conjecture":
-        _odd_prime(p, "conjecture case")
-        return TheoremCase("conjecture", (p,), modulus or p)
-    raise ValueError(f"unknown case {name!r}")
+def make_case(name: str, *, modulus: int | None = None,
+              **params: int | None) -> TheoremCase:
+    """Build and validate the case ``name`` from its ``_CASES`` row.
+
+    A parameter left out or None takes the row's default.  The case must
+    take every parameter given; p must be an odd prime, the others at
+    least 1.  Only the cyclic case, exact and so true at every prime,
+    takes a modulus other than its own.  The group is built here, so
+    its constructor's checks (metacyclic's k, an odd m) fail here too.
+    """
+    if name not in _CASES:
+        raise ValueError(f"unknown case {name!r}")
+    row = _CASES[name]
+    what = name.replace("_times_", " x ") + " case"
+    given = {key: v for key, v in params.items() if v is not None}
+    extra = [key for key in given if key not in row.parameters]
+    if extra:
+        raise ValueError(
+            f"{what} takes no parameter {', '.join(extra)} (it takes: "
+            f"{', '.join(row.parameters) or 'none'})")
+    values = {**row.parameters, **given}
+    if "p" in values:
+        _odd_prime(values["p"], what)
+    if any(v is None or v < 1 for v in values.values()):
+        raise ValueError(f"{what} needs " + " and ".join(
+            f"{key} >= 1" for key in values if key != "p"))
+    own = values.get(row.modulus, row.modulus)  # "p" names a parameter
+    case = TheoremCase(name, tuple(values.values()),
+                       own if modulus is None else modulus)
+    if own is not None and case.modulus != own:
+        raise ValueError(
+            f"modulus {modulus} conflicts with the {name} case, whose "
+            f"congruence lives mod {own}")
+    group_for_case(case)
+    return case
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def group_for_case(case: TheoremCase) -> FiniteGroup:
     """The case's group, built once per case: a verify run over many knots
     builds it, and the tables FiniteGroup caches, a single time."""
-    return _CASE_GROUPS[case.name](*case.parameters)
+    return _CASES[case.name].group(*case.parameters)
 
 
 def _check_is_alexander(delta: LaurentPolynomial):
     if delta.domain.p is not None:
         raise ValueError("the Alexander polynomial must be exact over ZZ")
-    if delta.is_zero or abs(delta.evaluate(1)) != 1:
+    if abs(sum(delta.coeffs)) != 1:
         raise ValueError("not a knot Alexander polynomial: Delta(1) != +-1")
 
 
@@ -311,19 +318,17 @@ def catalog_under_24() -> list[tuple[str, FiniteGroup, int | None]]:
     """The 35 groups of order < 24 that are normally generated by one
     element, each with the modulus at which its formula lives (None means
     the exact cyclic identity)."""
-    entries: list[tuple[str, FiniteGroup, int | None]] = []
-    for n in range(1, 24):
-        entries.append((f"C{n}", cyclic(n), None))
-    for q, p in ((3, 3), (5, 5), (7, 7), (9, 3), (11, 11)):
-        entries.append((f"D{q}", dihedral(q), p))
-    entries.append(("D3xC3", direct_product(dihedral(3), cyclic(3)), 3))
-    entries.append(("G(4,5|2)", metacyclic(4, 5, 2), 5))
-    entries.append(("G(3,7|2)", metacyclic(3, 7, 2), 7))
-    entries.append(("Dic3", dicyclic(3), 3))
-    entries.append(("Dic5", dicyclic(5), 5))
-    entries.append(("A4", alternating4(), 2))
-    entries.append(("D3sC3", d3_semidirect_c3(), 3))
-    return entries
+    cases = (
+        [make_case("cyclic", n=n) for n in range(1, 24)]
+        + [make_case("dihedral", p=p, n=n)
+           for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1))]
+        + [make_case("dihedral_times_cyclic", p=3, m=3),
+           make_case("metacyclic", m=4, p=5, k=2),
+           make_case("metacyclic", m=3, p=7, k=2),
+           make_case("dicyclic", p=3), make_case("dicyclic", p=5),
+           make_case("a4"), make_case("d3c3")])
+    return [(g.name, g, case.modulus)
+            for case, g in zip(cases, map(group_for_case, cases))]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -241,6 +242,28 @@ class TestVerify:
                                    "--knot", "3_1")
         assert code == 0
         assert report["results"][0]["modulus"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ("--case", "a4", "--p", "5"),
+        ("--case", "cyclic", "--n", "3", "--p", "7"),
+        ("--case", "conjecture", "--p", "3", "--n", "2", "--experimental"),
+    ], ids=["a4-p", "cyclic-p", "conjecture-n"])
+    def test_parameter_the_case_does_not_take_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--knot", "8_18")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "takes no parameter" in err
+
+    def test_case_flags_are_the_case_parameters(self):
+        # each parameter of a _CASES row has an integer flag of its own
+        # name, and verify has no other integer flag but --budget and --mod
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        flags = {(tuple(a.option_strings), a.dest)
+                 for a in sub.choices["verify"]._actions if a.type is int}
+        names = {key for row in theorems._CASES.values()
+                 for key in row.parameters}
+        assert flags - {(("--budget",), "budget"), (("--mod",), "mod")} \
+            == {((f"--{key}",), key) for key in names}
 
     def test_conjecture_needs_flag(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "conjecture",

@@ -28,6 +28,7 @@ from talex.algebra import (
 )
 from talex.groups import alternating4, cyclic, dihedral, direct_product
 from talex.theorems import (
+    _CASES,
     TheoremCase,
     catalog_under_24,
     group_for_case,
@@ -160,6 +161,25 @@ def paper_display(case: TheoremCase, delta) -> RationalFunction:
     raise AssertionError(name)
 
 
+# (name, kwargs, parameters, modulus, group name, order); dihedral,
+# dicyclic and D_q x C_m default to n = 1
+CASE_TABLE = [
+    ("cyclic", {"n": 5}, (5,), None, "C5", 5),
+    ("cyclic", {"n": 1}, (1,), None, "C1", 1),
+    ("dihedral", {"p": 3}, (3, 1), 3, "D3", 6),
+    ("dihedral", {"p": 3, "n": 2}, (3, 2), 3, "D9", 18),
+    ("dihedral_times_cyclic", {"p": 3, "m": 3}, (3, 1, 3), 3, "D3xC3", 18),
+    ("dihedral_times_cyclic", {"p": 5, "n": 1, "m": 1}, (5, 1, 1), 5,
+     "D5xC1", 10),
+    ("metacyclic", {"m": 3, "p": 7, "k": 2}, (3, 7, 2), 7, "G(3,7|2)", 21),
+    ("metacyclic", {"m": 4, "p": 5, "k": 2}, (4, 5, 2), 5, "G(4,5|2)", 20),
+    ("dicyclic", {"p": 5}, (5, 1), 5, "Dic5", 20),
+    ("dicyclic", {"p": 3, "n": 2}, (3, 2), 3, "Dic9", 36),
+    ("a4", {}, (), 2, "A4", 12),
+    ("d3c3", {}, (), 3, "D3sC3", 18),
+    ("conjecture", {"p": 5}, (5,), 5, "D5sC5", 50),
+]
+
 ORACLE_CASES = (
     [make_case("cyclic", n=n) for n in range(1, 20)]
     + [make_case("cyclic", n=n, modulus=5) for n in range(1, 20)]
@@ -187,6 +207,8 @@ class TestCases:
             make_case("metacyclic", m=3, p=7, k=3)
         with pytest.raises(ValueError, match="unknown case"):
             TheoremCase("nope", (), None)
+        with pytest.raises(ValueError, match="unknown case"):
+            make_case("nope")
 
     @pytest.mark.parametrize("name", [
         "dihedral", "dicyclic", "dihedral_times_cyclic", "metacyclic",
@@ -206,6 +228,51 @@ class TestCases:
         # D_3 x C_2 abelianizes to C2 x C2, so no knot group maps onto it
         with pytest.raises(ValueError, match="m odd"):
             make_case("dihedral_times_cyclic", p=3, m=2)
+
+    @pytest.mark.parametrize("name,kwargs,parameters,modulus,group,order",
+                             CASE_TABLE, ids=str)
+    def test_case_table(self, name, kwargs, parameters, modulus, group,
+                        order):
+        case = make_case(name, **kwargs)
+        assert (case.parameters, case.modulus) == (parameters, modulus)
+        g = group_for_case(case)
+        assert (g.name, g.order) == (group, order)
+        # the parameters round-trip through the names of the case's row
+        assert make_case(name, **dict(zip(_CASES[name].parameters,
+                                          parameters))) == case
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("a4", {"p": 5}),
+        ("d3c3", {"m": 3}),
+        ("cyclic", {"n": 3, "p": 7}),
+        ("conjecture", {"p": 3, "n": 2}),
+        ("dicyclic", {"p": 3, "k": 2}),
+    ])
+    def test_parameter_the_case_does_not_take_rejected(self, name, kwargs):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            make_case(name, **kwargs)
+
+    def test_parameters_given_as_none_take_the_defaults(self):
+        assert make_case("dihedral", p=3, n=None, m=None, k=None) \
+            == make_case("dihedral", p=3)
+
+    @pytest.mark.parametrize("name,kwargs,modulus", [
+        ("a4", {}, 3),
+        ("d3c3", {}, 2),
+        ("dihedral", {"p": 3}, 5),
+        ("conjecture", {"p": 5}, 3),
+    ])
+    def test_foreign_modulus_rejected_at_construction(self, name, kwargs,
+                                                      modulus):
+        with pytest.raises(ValueError, match="conflicts"):
+            make_case(name, modulus=modulus, **kwargs)
+
+    def test_own_modulus_and_any_prime_for_cyclic_accepted(self):
+        assert make_case("a4", modulus=2) == make_case("a4")
+        assert make_case("dihedral", p=5, modulus=5).modulus == 5
+        assert make_case("cyclic", n=3, modulus=7).modulus == 7
+        with pytest.raises(ValueError, match="not prime"):
+            make_case("cyclic", n=3, modulus=4)
 
 
 class TestRootsOfUnityModP:
@@ -295,6 +362,14 @@ class TestRhs:
         a = _rhs(make_case("d3c3"), delta)
         b = _rhs(make_case("conjecture", p=3), delta)
         assert equal_up_to_unit(a, b)
+
+    @pytest.mark.parametrize("case", [
+        make_case("cyclic", n=3), make_case("dihedral", p=3),
+        make_case("a4"), make_case("cyclic", n=2, modulus=5)], ids=str)
+    def test_symmetrized_alexander_polynomial(self, case):
+        # t^-1 - 1 + t is the trefoil's t^2 - t + 1 up to a unit
+        assert _rhs(case, poly([1, -1, 1], -1)).to_json() \
+            == _rhs(case, poly([1, -1, 1])).to_json()
 
     def test_rejects_non_alexander_input(self):
         with pytest.raises(ValueError, match="Delta"):
@@ -420,6 +495,12 @@ class TestIdentityOracles:
         assert check_metacyclic_triangularization(m, p, k)
 
 
+def _own_modulus(case: TheoremCase) -> int | None:
+    """The modulus make_case gives the case when none is passed."""
+    names = _CASES[case.name].parameters
+    return make_case(case.name, **dict(zip(names, case.parameters))).modulus
+
+
 class TestCatalog:
     def test_thirty_five_groups_under_24(self):
         entries = catalog_under_24()
@@ -429,3 +510,24 @@ class TestCatalog:
             assert group.is_normally_generated_by_one() is not None
             if modulus is not None:
                 assert group.order % modulus == 0
+
+    def test_names_order_and_moduli(self):
+        assert [(name, modulus) for name, _, modulus in catalog_under_24()] \
+            == [(f"C{n}", None) for n in range(1, 24)] + [
+                ("D3", 3), ("D5", 5), ("D7", 7), ("D9", 3), ("D11", 11),
+                ("D3xC3", 3), ("G(4,5|2)", 5), ("G(3,7|2)", 7),
+                ("Dic3", 3), ("Dic5", 5), ("A4", 2), ("D3sC3", 3)]
+
+    @pytest.mark.parametrize("group,modulus", [
+        *((g, m) for _, g, m in catalog_under_24()),
+        *((group_for_case(c), _own_modulus(c)) for c in ORACLE_CASES),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_modulus_matches_commutator_subgroup(self, group, modulus):
+        # the modulus column: none exactly when G' = 1, and otherwise a
+        # prime of which |G'| is a power, the condition rhs proves under
+        size = len(group.commutator_subgroup())
+        assert (modulus is None) == (size == 1)
+        if modulus is not None:
+            while size % modulus == 0:
+                size //= modulus
+            assert size == 1
