@@ -27,14 +27,26 @@ how a value is divided by the previous pivot.
 The norm prod_{z^n = 1} a(z*t) of a Laurent polynomial over the n-th roots
 of unity, which is det(a(t*P)) for an n-cycle P, needs no matrix at all:
 cycle_norm computes it exactly from power sums by Newton's identities.
+
+The package's value classes (domains, polynomials, matrices, records)
+derive from FrozenValue: hand-written __slots__ classes whose fields are
+set once in __init__, compare and hash as the tuple of their fields, and
+refuse assignment.  Frozen dataclasses would give the same semantics, but
+importing dataclasses loads inspect, ast, dis and tokenize, and each
+decorated class execs generated source at import, which together cost a
+third of the start-up of a CLI run.  The classes built thousands of times
+per run (CoefficientDomain, LaurentPolynomial, RationalFunction) spell
+out __init__, __eq__ and __hash__ over their own fields, since the
+generic versions that loop over __slots__ are measurably slower there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
+
+_set = object.__setattr__
 
 
 class DomainMismatchError(ValueError):
@@ -60,19 +72,65 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoefficientDomain:
+class FrozenValue:
+    """Base of the immutable value classes: the fields are the subclass's
+    __slots__, in order, set in its __init__ through _set or _fill.
+    Instances of one class are equal, and hash alike, when their field
+    tuples are; assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+
+class CoefficientDomain(FrozenValue):
     """The exact integers (p is None) or the prime field F_p.
 
     Scalars are plain Python ints; over F_p they are kept reduced to the
     range 0..p-1.
     """
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int | None = None):
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        _set(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not CoefficientDomain:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
 
     @property
     def is_field(self) -> bool:
@@ -106,12 +164,11 @@ def prime_field(p: int) -> CoefficientDomain:
 
 
 def _check_same_domain(a: "LaurentPolynomial", b: "LaurentPolynomial"):
-    if a.domain != b.domain:
+    if a.domain is not b.domain and a.domain != b.domain:
         raise DomainMismatchError(f"{a.domain} vs {b.domain}")
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(FrozenValue):
     """An exact Laurent polynomial sum_i coeffs[i] * t^(min_exp + i).
 
     Canonical form: the first and last stored coefficients are nonzero,
@@ -120,14 +177,29 @@ class LaurentPolynomial:
     and safe to share between threads.
     """
 
-    domain: CoefficientDomain
-    min_exp: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("domain", "min_exp", "coeffs")
+
+    def __init__(self, domain: CoefficientDomain, min_exp: int,
+                 coeffs: tuple[int, ...]):
+        _set(self, "domain", domain)
+        _set(self, "min_exp", min_exp)
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not LaurentPolynomial:
+            return NotImplemented
+        return (self.coeffs == other.coeffs and self.min_exp == other.min_exp
+                and (self.domain is other.domain
+                     or self.domain == other.domain))
+
+    def __hash__(self):
+        return hash((self.domain, self.min_exp, self.coeffs))
 
     @staticmethod
     def make(domain: CoefficientDomain, min_exp: int,
              coeffs: Iterable[int]) -> "LaurentPolynomial":
-        cs = [domain.reduce(c) for c in coeffs]
+        p = domain.p
+        cs = list(coeffs) if p is None else [c % p for c in coeffs]
         lo = 0
         while lo < len(cs) and cs[lo] == 0:
             lo += 1
@@ -455,17 +527,27 @@ def divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
 # -- rational functions --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(FrozenValue):
     """A quotient of Laurent polynomials over a common domain."""
 
-    numerator: LaurentPolynomial
-    denominator: LaurentPolynomial
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        _check_same_domain(self.numerator, self.denominator)
-        if self.denominator.is_zero:
+    def __init__(self, numerator: LaurentPolynomial,
+                 denominator: LaurentPolynomial):
+        _check_same_domain(numerator, denominator)
+        if denominator.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is not RationalFunction:
+            return NotImplemented
+        return (self.numerator == other.numerator
+                and self.denominator == other.denominator)
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
 
     @property
     def domain(self) -> CoefficientDomain:
@@ -573,22 +655,20 @@ def equal_up_to_unit(a: RationalFunction, b: RationalFunction) -> bool:
 # -- polynomial matrices and determinants --------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(FrozenValue):
     """A rows x cols matrix of Laurent polynomials over one domain."""
 
-    rows: int
-    cols: int
-    entries: tuple[LaurentPolynomial, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int,
+                 entries: tuple[LaurentPolynomial, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        doms = {e.domain for e in self.entries}
-        if len(doms) > 1:
+        if len({e.domain for e in entries}) > 1:
             raise DomainMismatchError("matrix entries over mixed domains")
+        self._fill(rows, cols, entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[LaurentPolynomial]]) -> "PolyMatrix":

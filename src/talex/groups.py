@@ -34,11 +34,10 @@ Element index conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm
 
-from .algebra import cyclotomic_residues
+from .algebra import FrozenValue, cyclotomic_residues
 
 
 class GroupValidationError(ValueError):
@@ -307,13 +306,14 @@ class FiniteGroup:
                 "labels": dict(self.labels)}
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(FrozenValue):
     """A class, its least member, and whether it generates the group."""
 
-    representative: int
-    members: frozenset[int]
-    generates: bool
+    __slots__ = ("representative", "members", "generates")
+
+    def __init__(self, representative: int, members: frozenset[int],
+                 generates: bool):
+        self._fill(representative, members, generates)
 
     def __len__(self):
         return len(self.members)
@@ -521,8 +521,12 @@ def group_from_cayley_json(obj: dict | str) -> FiniteGroup:
         if len(table) != obj["order"]:
             raise GroupValidationError(
                 "declared order does not match the table")
-        g = FiniteGroup(table, labels=obj.get("labels"),
-                        name=obj.get("name", "custom"))
+        labels, name = obj.get("labels", {}), obj.get("name", "custom")
+        if not isinstance(labels, dict):
+            raise GroupValidationError("labels must be an object")
+        if not isinstance(name, str):
+            raise GroupValidationError("name must be a string")
+        g = FiniteGroup(table, labels=labels, name=name)
     except TypeError as exc:  # a JSON value of the wrong type
         raise GroupValidationError(f"malformed Cayley table: {exc}") from exc
     if "identity" in obj and g.identity != obj["identity"]:
@@ -533,8 +537,7 @@ def group_from_cayley_json(obj: dict | str) -> FiniteGroup:
 # -- permutation representations ------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(FrozenValue):
     """A homomorphism from a finite group into GL(dimension, ZZ) by
     block-monomial matrices, stored as column maps on blocks: the image of
     g has one nonzero block in block column j, in block row perms[g][j],
@@ -545,11 +548,13 @@ class MatrixRep:
     permutation representation, whose image of g has a 1 in row
     perms[g][j] of column j and zeros elsewhere."""
 
-    group: FiniteGroup
-    dimension: int
-    perms: tuple[tuple[int, ...], ...]
-    exponents: tuple[tuple[int, ...], ...] | None = None
-    cyclotomic: int = 1
+    __slots__ = ("group", "dimension", "perms", "exponents", "cyclotomic")
+
+    def __init__(self, group: FiniteGroup, dimension: int,
+                 perms: tuple[tuple[int, ...], ...],
+                 exponents: tuple[tuple[int, ...], ...] | None = None,
+                 cyclotomic: int = 1):
+        self._fill(group, dimension, perms, exponents, cyclotomic)
 
     def factors(self) -> tuple[tuple["MatrixRep", int], ...]:
         """Pairs (factor, multiplicity) whose direct sum with repetition is

@@ -12,8 +12,7 @@ receives a value.  Conjugation reads FiniteGroup.inner_automorphisms().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .algebra import FrozenValue
 from .groups import FiniteGroup
 from .knots import KnotPresentation
 
@@ -28,12 +27,13 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(FrozenValue):
     """Images of the presentation generators (one element index each)."""
 
-    group: FiniteGroup
-    images: tuple[int, ...]
+    __slots__ = ("group", "images")
+
+    def __init__(self, group: FiniteGroup, images: tuple[int, ...]):
+        self._fill(group, images)
 
 
 def evaluate_word(group: FiniteGroup, images, word) -> int:

@@ -31,12 +31,12 @@ presentation stays available through wirtinger_from_pd.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
     INTEGERS,
     CoefficientDomain,
+    FrozenValue,
     LaurentPolynomial,
     PolyMatrix,
     determinant,
@@ -99,18 +99,27 @@ class PDValidationError(ValueError):
     """Raised for malformed planar diagram codes."""
 
 
-@dataclass(frozen=True)
-class PDCode:
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; a JSON 2.5, true or "2" is rejected
+    rather than coerced."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} {v!r} is not an integer")
+    return values
+
+
+class PDCode(FrozenValue):
     """An oriented knot diagram as a sequence of crossing 4-tuples."""
 
-    crossings: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("crossings",)
 
-    def __post_init__(self):
-        n = len(self.crossings)
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...]):
+        n = len(crossings)
         if n == 0:
             raise PDValidationError("a PD code needs at least one crossing")
         counts: dict[int, int] = {}
-        for idx, cr in enumerate(self.crossings):
+        for idx, cr in enumerate(crossings):
             if len(cr) != 4:
                 raise PDValidationError(f"crossing {idx} is not a 4-tuple")
             for e in cr:
@@ -122,33 +131,34 @@ class PDCode:
         if bad:
             raise PDValidationError(
                 f"edge labels {sorted(bad)} do not occur exactly twice")
+        self._fill(crossings)
 
     @staticmethod
     def parse(raw) -> "PDCode":
-        return PDCode(tuple(tuple(int(x) for x in cr) for cr in raw))
+        """Read the crossings from JSON lists of integer labels."""
+        return PDCode(tuple(_json_ints(cr, "PD label") for cr in raw))
 
     def __len__(self):
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
-class KnotPresentation:
+class KnotPresentation(FrozenValue):
     """A deficiency-one group presentation; when meridional, every
     generator is a meridian of the knot (so sending each one to t gives a
     well defined abelianization)."""
 
-    generators: int
-    relators: tuple[FreeWord, ...]
-    meridional: bool = True
+    __slots__ = ("generators", "relators", "meridional")
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __init__(self, generators: int, relators: tuple[FreeWord, ...],
+                 meridional: bool = True):
+        for r in relators:
             for letter in r:
-                if letter == 0 or abs(letter) > self.generators:
+                if letter == 0 or abs(letter) > generators:
                     raise ValueError(f"letter {letter} out of range")
-            if self.meridional and abelian_exponent(r) != 0:
+            if meridional and abelian_exponent(r) != 0:
                 raise ValueError(
                     "meridional presentation with unbalanced relator")
+        self._fill(generators, relators, meridional)
 
 
 def wirtinger_from_pd(pd: PDCode) -> KnotPresentation:
@@ -319,7 +329,8 @@ def load_knot_table(source) -> dict[str, KnotPresentation]:
     The file is JSON: {"knots": [entry, ...]} where each entry is either
     {"name": ..., "pd": [[a,b,c,d], ...]} or a direct presentation
     {"name": ..., "generators": m, "relators": [[letters], ...]}, and no
-    two entries share a name.  The table holds simplify_presentation of
+    two entries share a name.  Generator counts, PD labels and relator
+    letters must be JSON integers; 2.5, true or "2" is malformed.  The table holds simplify_presentation of
     each entry, whose generators are a subset of the entry's original
     generators (for PD entries, of its Wirtinger arcs), renumbered 1..m'.
     The simplified form must pass the knot check |Delta(1)| = 1, read off
@@ -363,9 +374,11 @@ def _parse_knot_table(text) -> tuple[tuple[str, KnotPresentation], ...]:
             if "pd" in entry:
                 pres = wirtinger_from_pd(PDCode.parse(entry["pd"]))
             elif "relators" in entry:
+                m, = _json_ints([entry["generators"]], "generator count")
                 pres = KnotPresentation(
-                    generators=int(entry["generators"]),
-                    relators=tuple(free_reduce(r) for r in entry["relators"]))
+                    generators=m,
+                    relators=tuple(free_reduce(_json_ints(r, "relator letter"))
+                                   for r in entry["relators"]))
             else:
                 raise KnotTableError(
                     f"entry {name}: needs either a pd code or relators")

@@ -51,13 +51,13 @@ everything stays exact.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 from .algebra import (
     INTEGERS,
     CoefficientDomain,
+    FrozenValue,
     LaurentPolynomial,
     RationalFunction,
     _is_prime,
@@ -81,10 +81,12 @@ from .knots import KnotPresentation
 from .twisted import alexander_polynomial, invariants
 
 
-class _Case(NamedTuple):
-    parameters: dict[str, int | None]
-    group: Callable[..., FiniteGroup]
-    modulus: str | int | None
+class _Case(FrozenValue):
+    __slots__ = ("parameters", "group", "modulus")
+
+    def __init__(self, parameters: dict[str, int | None],
+                 group: Callable[..., FiniteGroup], modulus: str | int | None):
+        self._fill(parameters, group, modulus)
 
 
 def _dihedral_times_cyclic(p: int, n: int, m: int) -> FiniteGroup:
@@ -116,21 +118,20 @@ _CASES = {
 CASE_NAMES = tuple(_CASES)
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(FrozenValue):
     """A congruence formula instance: case name, integer parameters in the
     order of the case's ``_CASES`` row, and the modulus the congruence
     lives at (None for the exact cyclic case)."""
 
-    name: str
-    parameters: tuple[int, ...]
-    modulus: int | None
+    __slots__ = ("name", "parameters", "modulus")
 
-    def __post_init__(self):
-        if self.name not in CASE_NAMES:
-            raise ValueError(f"unknown case {self.name!r}")
-        if self.modulus is not None and not _is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
+    def __init__(self, name: str, parameters: tuple[int, ...],
+                 modulus: int | None):
+        if name not in CASE_NAMES:
+            raise ValueError(f"unknown case {name!r}")
+        if modulus is not None and not _is_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not prime")
+        self._fill(name, parameters, modulus)
 
     def __str__(self):
         params = ",".join(str(x) for x in self.parameters)
@@ -241,19 +242,19 @@ def rhs(group: FiniteGroup, modulus: int | None,
     return rational_normalize(out ** size)
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(FrozenValue):
     """Per-(knot, case) outcome of a congruence check."""
 
-    knot: str
-    group: str
-    parameters: tuple[int, ...]
-    surjections_found: int
-    verdicts: tuple[bool, ...]
-    lhs: tuple[RationalFunction, ...]
-    rhs: RationalFunction | None
-    modulus: int | None
-    elapsed_ms: float
+    __slots__ = ("knot", "group", "parameters", "surjections_found",
+                 "verdicts", "lhs", "rhs", "modulus", "elapsed_ms")
+
+    def __init__(self, knot: str, group: str, parameters: tuple[int, ...],
+                 surjections_found: int, verdicts: tuple[bool, ...],
+                 lhs: tuple[RationalFunction, ...],
+                 rhs: RationalFunction | None, modulus: int | None,
+                 elapsed_ms: float):
+        self._fill(knot, group, parameters, surjections_found, verdicts,
+                   lhs, rhs, modulus, elapsed_ms)
 
     @property
     def all_verified(self) -> bool:
@@ -331,15 +332,15 @@ def catalog_under_24() -> list[tuple[str, FiniteGroup, int | None]]:
             for case, g in zip(cases, map(group_for_case, cases))]
 
 
-@dataclass(frozen=True)
-class NonvanishingRecord:
-    knot: str
-    group: str
-    surjections_found: int
-    classes_computed: int
-    all_nonzero: bool
-    modulus: int | None
-    elapsed_ms: float
+class NonvanishingRecord(FrozenValue):
+    __slots__ = ("knot", "group", "surjections_found", "classes_computed",
+                 "all_nonzero", "modulus", "elapsed_ms")
+
+    def __init__(self, knot: str, group: str, surjections_found: int,
+                 classes_computed: int, all_nonzero: bool,
+                 modulus: int | None, elapsed_ms: float):
+        self._fill(knot, group, surjections_found, classes_computed,
+                   all_nonzero, modulus, elapsed_ms)
 
 
 def sweep_nonvanishing(table: dict[str, KnotPresentation],

@@ -81,11 +81,11 @@ generic route's numerator bit for bit, over the integers and every F_p.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .algebra import (
     INTEGERS,
     CoefficientDomain,
+    FrozenValue,
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
@@ -109,15 +109,17 @@ from .knots import (
 )
 
 
-@dataclass(frozen=True)
-class TwistedAlexanderResult:
+class TwistedAlexanderResult(FrozenValue):
     """Both determinants, the dropped generator (1-based) and the
     normalized quotient."""
 
-    numerator: LaurentPolynomial
-    denominator: LaurentPolynomial
-    dropped_generator: int
-    normalized: RationalFunction
+    __slots__ = ("numerator", "denominator", "dropped_generator",
+                 "normalized")
+
+    def __init__(self, numerator: LaurentPolynomial,
+                 denominator: LaurentPolynomial, dropped_generator: int,
+                 normalized: RationalFunction):
+        self._fill(numerator, denominator, dropped_generator, normalized)
 
     @property
     def is_zero(self) -> bool:

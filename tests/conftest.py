@@ -5,10 +5,12 @@ import pytest
 from talex.algebra import INTEGERS, LaurentPolynomial, PolyMatrix
 from talex.homsearch import evaluate_word
 from talex.knots import (
+    KnotPresentation,
     PDCode,
     abelian_exponent,
     bundled_table,
     bundled_table_path,
+    simplify_presentation,
 )
 
 
@@ -32,6 +34,16 @@ def trefoil(table):
 @pytest.fixture(scope="session")
 def figure_eight(table):
     return table["4_1"]
+
+
+def connected_sum(a, b):
+    """Both presentations with the meridians x_1 = y_1, simplified."""
+    shift = a.generators
+    relators = a.relators + tuple(
+        tuple(x + shift if x > 0 else x - shift for x in r)
+        for r in b.relators) + ((1, -(shift + 1)),)
+    return simplify_presentation(
+        KnotPresentation(a.generators + b.generators, relators))
 
 
 def poly(coeffs, min_exp=0, domain=INTEGERS):

@@ -430,6 +430,10 @@ class TestTableSources:
          ("compute", "--knot", "3_1", "--group", "cayley:{}")),
         ({"order": 1, "table": [[0]], "labels": 5},
          ("compute", "--knot", "3_1", "--group", "cayley:{}")),
+        ({"order": 1, "table": [[0]], "labels": ["a"]},
+         ("surjections", "--group", "cayley:{}", "--knot", "3_1")),
+        ({"order": 1, "table": [[0]], "name": 5},
+         ("surjections", "--group", "cayley:{}", "--knot", "3_1")),
         ({"knots": 5}, ("alexander", "--table", "{}", "--all-knots")),
         ({"knots": ["x"]}, ("alexander", "--table", "{}", "--all-knots")),
         ({"knots": [{"name": "a", "pd": 5}]},
@@ -441,7 +445,8 @@ class TestTableSources:
                     {"name": "k", "pd": [[4, 2, 5, 1], [8, 6, 1, 5],
                                          [6, 3, 7, 4], [2, 7, 3, 8]]}]},
          ("alexander", "--table", "{}", "--all-knots")),
-    ], ids=["cayley-list", "cayley-int-table", "cayley-int-labels", "knots-int",
+    ], ids=["cayley-list", "cayley-int-table", "cayley-int-labels",
+            "cayley-list-labels", "cayley-int-name", "knots-int",
             "knots-str-entry", "knots-int-pd", "knots-list-name",
             "knots-duplicate-name"])
     def test_malformed_file_is_bad_input(self, capsys, tmp_path, content,
@@ -453,6 +458,26 @@ class TestTableSources:
         code, out, err = run(capsys, *(a.format(path) for a in argv))
         assert code == 3 and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("entry,bad", [
+        ({"generators": 2.5, "relators": [[1, 2, 1, -2, -1, -2]]}, "2.5"),
+        ({"generators": True, "relators": [[1, 2, 1, -2, -1, -2]]}, "True"),
+        ({"generators": "2", "relators": [[1, 2, 1, -2, -1, -2]]}, "'2'"),
+        ({"generators": 2, "relators": [[1, 2, 1, -2, -1, -2.0]]}, "-2.0"),
+        ({"generators": 2, "relators": [[1, 2, True, -2, -1, -2]]}, "True"),
+        ({"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3.0]]}, "3.0"),
+        ({"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, "3"]]}, "'3'"),
+    ], ids=["generators-float", "generators-bool", "generators-str",
+            "letter-float", "letter-bool", "pd-float", "pd-str"])
+    def test_non_integer_knot_value_is_bad_input(self, capsys, tmp_path,
+                                                 entry, bad):
+        # each of these used to be coerced by int() and load as a trefoil
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"knots": [{"name": "k", **entry}]}))
+        code, out, err = run(capsys, "alexander", "--table", str(path),
+                             "--all-knots")
+        assert code == 3 and out == ""
+        assert "entry k: " in err and f"{bad} is not an integer" in err
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import connected_sum
 from paper_lemmas import (
     brute_force_surjections,
     conjugation_orbit_minima,
@@ -28,7 +29,7 @@ from talex.homsearch import (
     find_meridional_surjections,
     regular_equivalence_classes,
 )
-from talex.knots import KnotPresentation, simplify_presentation
+from talex.knots import KnotPresentation
 from talex.theorems import catalog_under_24
 
 
@@ -147,14 +148,7 @@ class TestSearch:
                 conjugation_orbit_minima(brute_force_surjections(pres, group))
 
     def test_orbit_minima_on_a_connected_sum(self, table):
-        # 3_1 # 3_1: both presentations with the meridians x_1 = y_1
-        a = table["3_1"]
-        shift = a.generators
-        relators = a.relators + tuple(
-            tuple(x + shift if x > 0 else x - shift for x in r)
-            for r in a.relators) + ((1, -(shift + 1)),)
-        pres = simplify_presentation(
-            KnotPresentation(2 * shift, relators))
+        pres = connected_sum(table["3_1"], table["3_1"])
         g = d3_semidirect_c3()
         minima = find_meridional_surjections(pres, g, up_to_conjugacy=True)
         assert len(minima) == 24
@@ -164,12 +158,7 @@ class TestSearch:
     def test_one_surjectivity_check_per_orbit(self, table, monkeypatch):
         # 3_1 # 3_1 -> D3sC3: subgroup_generated runs once per conjugation
         # orbit of relator solutions in a generating class, not per leaf
-        a = table["3_1"]
-        shift = a.generators
-        pres = simplify_presentation(KnotPresentation(
-            2 * shift, a.relators + tuple(
-                tuple(x + shift if x > 0 else x - shift for x in r)
-                for r in a.relators) + ((1, -(shift + 1)),)))
+        pres = connected_sum(table["3_1"], table["3_1"])
         g = d3_semidirect_c3()
         orbits = {min(conjugates(g, images))
                   for cls in g.conjugacy_classes() if cls.generates

@@ -1,6 +1,10 @@
-"""Every name a module imports is used in it or listed in its __all__."""
+"""Every name a module imports is used in it or listed in its __all__, and
+importing the CLI loads no module that generates or inspects code."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,16 @@ def test_detects_an_unused_import():
     source = ("from __future__ import annotations\nimport os, re\n"
               "from json import dumps as d\n__all__ = ['d']\nre.compile\n")
     assert unused_imports(source) == ["os"]
+
+
+def test_import_generates_no_code():
+    # dataclasses loads inspect, ast, dis and tokenize, and typing is as
+    # large; every CLI run pays for them at start-up.  -S keeps site from
+    # loading typing on its own
+    banned = ["ast", "dataclasses", "dis", "inspect", "tokenize", "typing"]
+    code = ("import sys, talex.cli; "
+            f"print(sorted(set({banned!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

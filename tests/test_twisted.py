@@ -4,7 +4,7 @@ import random
 import pytest
 from sympy import Matrix, Poly, cyclotomic_poly, symbols, totient
 
-from conftest import bundled_pd_codes, dense_rep_phi, poly
+from conftest import bundled_pd_codes, connected_sum, dense_rep_phi, poly
 from paper_lemmas import direct_sum_rep, trivial_representation
 from talex.algebra import (
     INTEGERS,
@@ -40,7 +40,6 @@ from talex.knots import (
     KnotPresentation,
     alexander_minor,
     fox_derivative,
-    simplify_presentation,
     wirtinger_from_pd,
 )
 from talex.theorems import catalog_under_24
@@ -541,16 +540,6 @@ def galois_orbit_factors(g, a, b):
                 tuple(tuple((al * u + be * v) * d // big % d
                             for _, u, v in col) for col in cols), d))
     return factors
-
-
-def connected_sum(a, b):
-    """Both presentations with the meridians x_1 = y_1, simplified."""
-    shift = a.generators
-    relators = a.relators + tuple(
-        tuple(x + shift if x > 0 else x - shift for x in r)
-        for r in b.relators) + ((1, -(shift + 1)),)
-    return simplify_presentation(
-        KnotPresentation(a.generators + b.generators, relators))
 
 
 class TestCyclotomicSplit:
