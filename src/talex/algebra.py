@@ -110,6 +110,17 @@ class FrozenValue:
         return type(self), self._fields()
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints, for the JSON loaders of knot and
+    group tables: a JSON 2.5, true or "2" raises TypeError rather than
+    being coerced."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} {v!r} is not an integer")
+    return values
+
+
 class CoefficientDomain(FrozenValue):
     """The exact integers (p is None) or the prime field F_p.
 

@@ -41,7 +41,6 @@ from .groups import (
     GroupValidationError,
     alternating4,
     cyclic,
-    d3_semidirect_c3,
     dicyclic,
     dihedral,
     direct_product,
@@ -92,7 +91,8 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Compact group specifiers: C5, D9, Dic3, G(3,7|2), A4, D3xC3 (direct
-    product), D3sC3 (semidirect), cayley:<path>."""
+    product), DpsCp for an odd prime p (D_p x| C_p, e.g. D3sC3),
+    cayley:<path>."""
     if spec.startswith("cayley:"):
         path = spec[len("cayley:"):]
         try:
@@ -118,7 +118,7 @@ def _catalog_group(spec: str) -> FiniteGroup:
         p, c = int(m.group(1)), int(m.group(2))
         if p != c:
             raise CliError(f"semidirect spec must be DpsCp, got {spec!r}")
-        return d3_semidirect_c3() if p == 3 else dp_semidirect_cp(p)
+        return dp_semidirect_cp(p)
     m = re.fullmatch(r"D(\d+)", spec)
     if m:
         q = int(m.group(1))
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             p.add_argument("--group", required=True,
                            help="group spec, e.g. C5, D9, Dic3, G(3,7|2), "
-                                "A4, D3xC3, D3sC3, cayley:<path>")
+                                "A4, D3xC3, DpsCp (p an odd prime, e.g. "
+                                "D5sC5), cayley:<path>")
         if case:
             p.add_argument("--case", choices=CASE_NAMES)
             p.add_argument("--p", type=int, dest="p")

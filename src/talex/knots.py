@@ -31,6 +31,7 @@ presentation stays available through wirtinger_from_pd.
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
 
 from .algebra import (
@@ -39,6 +40,7 @@ from .algebra import (
     FrozenValue,
     LaurentPolynomial,
     PolyMatrix,
+    _json_ints,
     determinant,
 )
 
@@ -97,16 +99,6 @@ def fox_derivative(word, j: int) -> GroupRingElement:
 
 class PDValidationError(ValueError):
     """Raised for malformed planar diagram codes."""
-
-
-def _json_ints(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints; a JSON 2.5, true or "2" is rejected
-    rather than coerced."""
-    values = tuple(values)
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{what} {v!r} is not an integer")
-    return values
 
 
 class PDCode(FrozenValue):
@@ -401,8 +393,9 @@ def _parse_knot_table(text) -> tuple[tuple[str, KnotPresentation], ...]:
 
 
 def bundled_table_path() -> str:
-    from importlib.resources import files
-    return str(files("talex").joinpath("data/knots.json"))
+    """The table shipped next to this module.  importlib.resources would
+    give the same path but costs tens of ms of imports on a CLI run."""
+    return os.path.join(os.path.dirname(__file__), "data", "knots.json")
 
 
 def bundled_table() -> dict[str, KnotPresentation]:

@@ -37,8 +37,11 @@ their (k, |G'|) are:
     metacyclic G(m, p | k)      (m, p)
     dicyclic Dic_q              (4, q)
     A4                          (3, 4)
-    D3 x| C3                    (2, 9)
+    D3 x| C3 (proved p = 3)     (2, 9)
     conjecture D_p x| C_p       (2, p^2)
+
+The d3c3 case is the conjecture's p = 3 instance, which the paper proves:
+both build their group with groups.dp_semidirect_cp(3).
 
 ``rhs`` checks both conditions on the group it is given rather than
 assuming them.  ``verify_congruence`` still computes the left side on G

@@ -6,8 +6,9 @@ and conjugating matrices; the Brauer-character argument in
 here rather than run by the package.  The oracles are the slow, obviously
 correct versions of code the package runs fast: cofactor expansion for
 determinants, exhaustive search for surjections, the all-pairs
-homomorphism check for automorphisms, and group ring arithmetic on
-dictionaries for Fox calculus.  The tests check both kinds; the package
+homomorphism check for automorphisms, group ring arithmetic on
+dictionaries for Fox calculus, and permutation groups closed from their
+generators for the catalog groups.  The tests check both kinds; the package
 does not ship them.
 """
 
@@ -133,6 +134,63 @@ def simplify_presentation_counter(pres: KnotPresentation) -> KnotPresentation:
                              else -renumber[-letter] for letter in r)
                        for r in relators),
         meridional=pres.meridional)
+
+
+# -- permutation realizations of catalog groups ---------------------------
+
+
+def cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
+    """The permutation of 0..degree-1 (p[i] = image of i) with the given
+    cycles on the points 1..degree."""
+    p = list(range(degree))
+    for cyc in cycles:
+        for i, x in enumerate(cyc):
+            p[x - 1] = cyc[(i + 1) % len(cyc)] - 1
+    return tuple(p)
+
+
+def perm_group_from_generators(gens: dict[str, tuple[int, ...]],
+                               name: str) -> FiniteGroup:
+    """Close named permutations (tuples, p[i] = image of i) under
+    composition; elements are indexed in BFS discovery order starting
+    from the identity, with generators visited in sorted name order."""
+    degree = len(next(iter(gens.values())))
+    ident = tuple(range(degree))
+
+    def compose(p, q):  # apply q first, then p
+        return tuple(p[q[i]] for i in range(degree))
+
+    names = sorted(gens)
+    elems = [ident]
+    index = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        x = frontier.pop(0)
+        for nm in names:
+            y = compose(x, gens[nm])
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+                frontier.append(y)
+    table = [[index[compose(a, b)] for b in elems] for a in elems]
+    labels = {nm: index[gens[nm]] for nm in names}
+    return FiniteGroup(table, labels=labels, name=name)
+
+
+def alternating4_as_even_permutations() -> FiniteGroup:
+    """A_4 = <a, b | a^3 = b^2 = 1, (ab)^3 = 1> on 4 points."""
+    return perm_group_from_generators(
+        {"a": cycles_to_perm(4, [(1, 2, 3)]),
+         "b": cycles_to_perm(4, [(1, 2), (3, 4)])}, "A4")
+
+
+def d3_semidirect_c3_in_s9() -> FiniteGroup:
+    """<a, b, c | a^3 = b^3 = c^2 = 1, ab = ba, cac = a^-1, cbc = b^-1> by
+    its standard embedding into S_9."""
+    return perm_group_from_generators(
+        {"a": cycles_to_perm(9, [(1, 2, 3), (4, 5, 6), (7, 8, 9)]),
+         "b": cycles_to_perm(9, [(1, 5, 8), (2, 6, 9), (3, 4, 7)]),
+         "c": cycles_to_perm(9, [(2, 3), (4, 9), (5, 8), (6, 7)])}, "D3sC3")
 
 
 # -- representations and surjections -------------------------------------

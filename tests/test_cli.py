@@ -479,6 +479,23 @@ class TestTableSources:
         assert code == 3 and out == ""
         assert "entry k: " in err and f"{bad} is not an integer" in err
 
+    @pytest.mark.parametrize("content,bad", [
+        ({"order": 2, "table": [[0, 1], [1, 0]], "labels": {"a": 1.5}},
+         "label 1.5"),
+        ({"order": 2, "table": [[False, True], [True, False]]},
+         "table entry False"),
+        ({"order": 2, "table": [[0, 1.0], [1, 0]]}, "table entry 1.0"),
+    ], ids=["label-float", "table-bool", "table-float"])
+    def test_non_integer_cayley_value_is_bad_input(self, capsys, tmp_path,
+                                                   content, bad):
+        # set equality with range(order) used to accept each of these
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "compute", "--knot", "3_1",
+                             "--group", f"cayley:{path}")
+        assert code == 3 and out == ""
+        assert f"{bad} is not an integer" in err
+
 
 class TestUsageErrors:
     # exit 2 means "no surjection exists", so argparse's own exit 2 for a

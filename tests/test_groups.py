@@ -3,7 +3,12 @@ import json
 
 import pytest
 
-from paper_lemmas import direct_sum_rep, trivial_representation
+from paper_lemmas import (
+    alternating4_as_even_permutations,
+    d3_semidirect_c3_in_s9,
+    direct_sum_rep,
+    trivial_representation,
+)
 from talex.algebra import LaurentPolynomial, PolyMatrix, determinant
 from talex.groups import (
     FiniteGroup,
@@ -205,8 +210,15 @@ class TestCatalog:
         assert len(g.subgroup_generated(class_of(g, c).members)) == g.order
 
     def test_dp_semidirect_cp_matches_s9_realization(self):
-        assert isomorphic(dp_semidirect_cp(3), d3_semidirect_c3())
+        s9 = d3_semidirect_c3_in_s9()
+        assert s9.order == 18
+        assert isomorphic(dp_semidirect_cp(3), s9)
         assert dp_semidirect_cp(5).order == 50
+
+    def test_alternating4_matches_even_permutations(self):
+        even = alternating4_as_even_permutations()
+        assert even.order == 12
+        assert isomorphic(alternating4(), even)
 
     def test_direct_products(self):
         g = direct_product(dihedral(3), cyclic(3))
@@ -230,6 +242,56 @@ class TestCatalog:
             w = g.is_normally_generated_by_one()
             assert w is not None
             assert len(g.subgroup_generated([w])) == n
+
+
+def _label_word(g: FiniteGroup, exponents) -> int:
+    """The product of the label powers g.label(x)^k, over the labels in
+    name order paired with the exponents."""
+    x = g.identity
+    for name, k in zip(sorted(g.labels), exponents):
+        x = g.mul(x, g.power(g.label(name), k))
+    return x
+
+
+# (group, orders, index): the label word a^i b^j ... with 0 <= i < orders[0],
+# 0 <= j < orders[1], ... sits at index(i, j, ...)
+LABEL_CONVENTIONS = [
+    *[(cyclic(n), (n,), lambda i: i) for n in (1, 2, 7)],
+    *[(dihedral(n), (n, 2), lambda i, e, n=n: i + n * e) for n in (2, 3, 9)],
+    *[(dicyclic(n), (2 * n, 2), lambda i, e, n=n: i + 2 * n * e)
+      for n in (2, 3, 5)],
+    *[(metacyclic(m, p, k), (p, m), lambda i, j, p=p: i + p * j)
+      for m, p, k in ((3, 7, 2), (2, 5, 4), (4, 13, 5))],
+    *[(dp_semidirect_cp(p), (p, p, 2),
+       lambda i, j, e, p=p: i * p + j + p * p * e) for p in (3, 5, 7)],
+]
+
+
+class TestIndexConventions:
+    """Each family's element sits at the index the groups module docstring
+    gives for it; the products are built from the labels, not read from
+    the table's layout."""
+
+    @pytest.mark.parametrize("g,orders,index", [
+        pytest.param(*case, id=case[0].name) for case in LABEL_CONVENTIONS])
+    def test_label_words(self, g, orders, index):
+        for exponents in itertools.product(*map(range, orders)):
+            assert _label_word(g, exponents) == index(*exponents)
+
+    def test_alternating4(self):
+        g = alternating4()
+        a, b = g.label("a"), g.label("b")
+        aba = g.mul(g.mul(a, b), g.inv(a))
+        for u, w, j in itertools.product(range(2), range(2), range(3)):
+            x = g.mul(g.mul(g.power(aba, u), g.power(b, w)), g.power(a, j))
+            assert x == 2 * u + w + 4 * j
+
+    def test_direct_product(self):
+        g, h = dihedral(3), cyclic(4)
+        gh = direct_product(g, h)
+        for x, y in itertools.product(g.elements(), h.elements()):
+            left, right = x * 4 + h.identity, g.identity * 4 + y
+            assert gh.mul(left, right) == x * 4 + y
 
 
 ALL_SMALL = [
@@ -364,6 +426,18 @@ class TestValidation:
         obj = cyclic(3).to_json()
         obj["order"] = 4
         with pytest.raises(GroupValidationError, match="order"):
+            group_from_cayley_json(obj)
+
+    @pytest.mark.parametrize("field,value", [
+        ("labels", {"a": 1.5}), ("labels", {"a": True}),
+        ("table", [[False, True], [True, False]]),
+        ("table", [[0, 1.0], [1, 0]]), ("table", [["0", "1"], ["1", "0"]]),
+    ], ids=["label-float", "label-bool", "table-bool", "table-float",
+            "table-str"])
+    def test_cayley_json_rejects_non_integers(self, field, value):
+        obj = cyclic(2).to_json()
+        obj[field] = value
+        with pytest.raises(GroupValidationError, match="not an integer"):
             group_from_cayley_json(obj)
 
 

@@ -6,8 +6,9 @@ of a package class is referenced by name somewhere in the package, the
 tests or the benchmark, so no method is kept for a caller that does not
 exist.  Conjugation is decided in groups.py alone: nothing in the package
 outside FiniteGroup calls ``.conjugate``.  The package needs nothing
-beyond the standard library: it declares no runtime dependency and a
-verify run imports no numpy.  JSON output has one route: nothing in the
+beyond the standard library: it declares no runtime dependency, a
+verify run imports no numpy, and the bundled knot table is found without
+importlib.resources.  JSON output has one route: nothing in the
 package calls ``json.dumps`` with ``indent``, since cli's writer produces
 those bytes."""
 
@@ -176,16 +177,31 @@ def test_detects_an_indented_dumps_call():
     assert indented_dumps_calls(sources) == ["cli.py:6", "cli.py:7"]
 
 
+def loaded_after_verify(module: str, *flags: str) -> str:
+    """Run one CLI verify in a fresh interpreter started with flags; the
+    last line of its output gives the exit code and whether module was
+    imported."""
+    script = ("import sys\n"
+              "from talex.cli import main\n"
+              "code = main(['verify', '--case', 'a4', '--knot', '8_18'])\n"
+              f"print('exit', code, {module!r}, {module!r} in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_runtime_needs_only_the_standard_library():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"].get("dependencies", []) == []
-    script = ("import sys\n"
-              "from talex.cli import main\n"
-              "code = main(['verify', '--case', 'a4', '--knot', '8_18'])\n"
-              "print('exit', code, 'numpy loaded', 'numpy' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "exit 0 numpy loaded False"
+    assert loaded_after_verify("numpy") == "exit 0 numpy False"
+
+
+def test_bundled_table_is_found_without_importlib_resources():
+    # without site (-S) no .pth file preloads importlib.resources, whose
+    # import chain (pathlib, tempfile, zipfile, ...) would land in the
+    # first table load of every CLI run
+    assert loaded_after_verify("importlib.resources", "-S") \
+        == "exit 0 importlib.resources False"
