@@ -20,8 +20,12 @@ The regular representation's column maps are the rows of the Cayley
 table, so it costs no storage beyond the group.  Its splitting along an
 abelian subgroup H, FiniteGroup.regular_factors, has block-monomial
 factors: column maps on the cosets of H, and one exponent e per block
-column for the block of multiplication by x^e on ZZ[x]/Phi_d.  Like the
-conjugation table, it is built once per group, on first use.
+column for the block of multiplication by x^e on ZZ[x]/Phi_d.  Over F_p,
+when d > 2 divides p - 1, Phi_d splits into distinct linear factors and
+the factor of order d is replaced by its characters with values in F_p,
+whose blocks are the 1 x 1 scalars r^e mod p for one r of order d.  H is
+chosen once per group and does not depend on p; like the conjugation
+table, each split is built once per group and prime, on first use.
 
 Element index conventions:
 
@@ -62,7 +66,8 @@ class FiniteGroup:
         self.inverses = self._find_inverses()
         self._inner: tuple[tuple[int, ...], ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
-        self._split: tuple[tuple[MatrixRep, int], ...] | None = None
+        self._gens: tuple[int, int] | None = None
+        self._split: dict[int | None, tuple[tuple[MatrixRep, int], ...]] = {}
         self._derived: frozenset[int] | None = None
 
     # -- construction-time checks ----------------------------------------
@@ -194,12 +199,13 @@ class FiniteGroup:
                 for g, ginv in enumerate(self.inverses)))
         return self._inner
 
-    def regular_factors(self, gens: tuple[int, ...] | None = None
+    def regular_factors(self, gens: tuple[int, ...] | None = None,
+                        p: int | None = None
                         ) -> tuple[tuple["MatrixRep", int], ...]:
         """The regular representation split along H = <a> x <b>, for gens
         = (a,) or (a, b) commuting with <a> & <b> = {e}: pairs (factor,
         multiplicity) whose direct sum with repetition is conjugate to it
-        over Q (proof in twisted).
+        over Q, or over F_p when p is given (proof in twisted).
 
         A character chi = (al, be) of H, mod L = lcm(|a|, |b|), has order
         d = L / gcd(L, al, be) and sends h = a^u b^v to zeta_d^e, e = (al*u
@@ -208,26 +214,27 @@ class FiniteGroup:
         of H in increasing order.  One factor, in order of (d, chi), stands
         for each orbit of chi under Galois conjugation and conjugation by
         N_G(H), with the orbit's number of Galois orbits as multiplicity.
+
+        Over F_p with d > 2 and d | p - 1, Phi_d has the phi(d) distinct
+        roots r^k in F_p, r the least element of order d: chi is then
+        taken to F_p by zeta_d -> r, its orbit is under N_G(H) alone, its
+        factor has the 1 x 1 block r^e mod p at (s(i), i), and the
+        multiplicity is the orbit's size.  Every other d, and every d
+        when p is None, gets the factor above, so those factors are the
+        same over ZZ and F_p.
+
         Without gens, H is the first <a> x <b>, a a class representative
         and b in C_G(a), minimising the elimination work [G:H]^3 * sum over
         y in H of phi(|y|)^2 (H and its characters are isomorphic), cyclic
-        H first on ties; that split is cached.
+        H first on ties.  H does not depend on p; the split is cached once
+        per p.
         """
         c, e = self.cayley, self.identity
         if gens is None:
-            if self._split is None:
-                cyc = [self.subgroup_generated((g,)) for g in self.elements()]
-                best = {}  # (work, not cyclic, (a, b)) per type of <a> x <b>
-                reps = [k.representative for k in self.conjugacy_classes()]
-                for a, b in product(reps, self.elements()):
-                    t = (len(cyc[a]), len(cyc[b]))
-                    if t not in best and c[a][b] == c[b][a] \
-                            and len(cyc[a] & cyc[b]) == 1:
-                        best[t] = ((self.order // (t[0] * t[1])) ** 3 * sum(
-                            _totient(lcm(len(cyc[x]), len(cyc[y]))) ** 2
-                            for x in cyc[a] for y in cyc[b]), t[1] > 1, (a, b))
-                self._split = self.regular_factors(min(best.values())[2])
-            return self._split
+            if p not in self._split:
+                self._split[p] = self.regular_factors(
+                    self._splitting_gens(), p)
+            return self._split[p]
         a, b = (*gens, e)[:2]
         ha, hb = self.element_order(a), self.element_order(b)
         coord = {c[self.power(a, u)][self.power(b, v)]: (u, v)
@@ -247,16 +254,39 @@ class FiniteGroup:
                                 for al in range(0, L, L // ha)
                                 for be in range(0, L, L // hb)):
             if (al, be) not in seen:
+                splits = p is not None and d > 2 and (p - 1) % d == 0
+                units = [1] if splits else \
+                    [k for k in range(1, L + 1) if gcd(k, L) == 1]
                 orbit = {((al * u1 + be * v1) * k % L,
                           (al * u2 + be * v2) * k % L)
-                         for u1, v1, u2, v2 in normal
-                         for k in range(1, L + 1) if gcd(k, L) == 1}
+                         for u1, v1, u2, v2 in normal for k in units}
                 seen |= orbit
                 exps = tuple(tuple((al * u + be * v) * d // L % d
                                    for _, u, v in ys) for ys in images)
-                split.append((MatrixRep(self, _totient(d) * len(reps), perms,
-                                        exps, d), len(orbit) // _totient(d)))
+                size = 1 if splits else _totient(d)
+                root = (next(r for r in range(2, p)
+                             if _multiplicative_order(r, p) == d), p) \
+                    if splits else None
+                split.append((MatrixRep(self, size * len(reps), perms, exps,
+                                        d, root), len(orbit) // size))
         return tuple(split)
+
+    def _splitting_gens(self) -> tuple[int, int]:
+        """The (a, b) of regular_factors' choice of H, found once."""
+        if self._gens is None:
+            c = self.cayley
+            cyc = [self.subgroup_generated((g,)) for g in self.elements()]
+            best = {}  # (work, not cyclic, (a, b)) per type of <a> x <b>
+            reps = [k.representative for k in self.conjugacy_classes()]
+            for a, b in product(reps, self.elements()):
+                t = (len(cyc[a]), len(cyc[b]))
+                if t not in best and c[a][b] == c[b][a] \
+                        and len(cyc[a] & cyc[b]) == 1:
+                    best[t] = ((self.order // (t[0] * t[1])) ** 3 * sum(
+                        _totient(lcm(len(cyc[x]), len(cyc[y]))) ** 2
+                        for x in cyc[a] for y in cyc[b]), t[1] > 1, (a, b))
+            self._gens = min(best.values())[2]
+        return self._gens
 
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
         """The classes in order of their least members: the first element
@@ -497,25 +527,34 @@ class MatrixRep(FrozenValue):
     and that block is the matrix of multiplication by x^exponents[g][j] on
     ZZ[x]/Phi_d, d = cyclotomic, in the basis 1, x, ..., x^(phi(d)-1).
 
+    With root = (r, p), r of order d in F_p^*, the homomorphism is into
+    GL(dimension, F_p) instead and every block is the 1 x 1 scalar
+    r^exponents[g][j] mod p: a character of order d taken to F_p by
+    zeta_d -> r, which FiniteGroup.regular_factors induces when Phi_d
+    splits over F_p.
+
     Without exponents, d is 1 and every block is the 1 x 1 identity: a
     permutation representation, whose image of g has a 1 in row
     perms[g][j] of column j and zeros elsewhere."""
 
-    __slots__ = ("group", "dimension", "perms", "exponents", "cyclotomic")
+    __slots__ = ("group", "dimension", "perms", "exponents", "cyclotomic",
+                 "root")
 
     def __init__(self, group: FiniteGroup, dimension: int,
                  perms: tuple[tuple[int, ...], ...],
                  exponents: tuple[tuple[int, ...], ...] | None = None,
-                 cyclotomic: int = 1):
-        self._fill(group, dimension, perms, exponents, cyclotomic)
+                 cyclotomic: int = 1, root: tuple[int, int] | None = None):
+        self._fill(group, dimension, perms, exponents, cyclotomic, root)
 
-    def factors(self) -> tuple[tuple["MatrixRep", int], ...]:
+    def factors(self, p: int | None = None
+                ) -> tuple[tuple["MatrixRep", int], ...]:
         """Pairs (factor, multiplicity) whose direct sum with repetition is
-        conjugate to this representation over Q: FiniteGroup.regular_factors
-        when the column maps are the rows of the Cayley table, which makes
-        this the regular representation whoever built it, else (self, 1)."""
+        conjugate to this representation over Q, or over F_p when p is
+        given: FiniteGroup.regular_factors(p=p) when the column maps are
+        the rows of the Cayley table, which makes this the regular
+        representation whoever built it, else (self, 1)."""
         if self.exponents is None and self.perms == self.group.cayley:
-            return self.group.regular_factors()
+            return self.group.regular_factors(p=p)
         return ((self, 1),)
 
     def validate(self) -> None:
@@ -523,7 +562,14 @@ class MatrixRep(FrozenValue):
         exps = self.exponents or tuple((0,) * len(p) for p in perms)
         if len(perms) != group.order or len(exps) != group.order:
             raise GroupValidationError("one image per element required")
-        size = _totient(d)
+        if self.root is None:
+            size = _totient(d)
+        else:
+            r, p = self.root
+            if not _is_prime(p) or _multiplicative_order(r, p) != d:
+                raise GroupValidationError(
+                    f"root {r} does not have order {d} mod {p}")
+            size = 1
         blocks = tuple(range(self.dimension // size))
         for g, perm in enumerate(perms):
             if len(perm) * size != self.dimension \
@@ -538,7 +584,7 @@ class MatrixRep(FrozenValue):
         # products (as in Light's test), so checking a generating set
         # proves the law for every pair; block column j of rho(g) rho(h)
         # is x^(exps[h][j] + exps[g][perms[h][j]]) in block row
-        # perms[g][perms[h][j]]
+        # perms[g][perms[h][j]], and x^e, like r^e, depends on e mod d only
         for h in group._greedy_generators():
             ph, eh = perms[h], exps[h]
             for g in range(group.order):

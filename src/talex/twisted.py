@@ -64,6 +64,33 @@ included: the numerator stays bit-identical.  Elimination then runs on
 (m-1)*phi(d)*[G:H] rows per factor, over F_p[t] or ZZ[t].  Any other
 representation is its own single factor (groups.MatrixRep.factors).
 
+Over F_p a factor splits further when d > 2 and d | p - 1, which is
+linear algebra over F_p, not a congruence (for d <= 2, phi(d) = 1 and its
+blocks are 1 x 1 already).  F_p^* is cyclic of order p - 1,
+so it holds an r of order d, and Phi_d = prod_k (x - r^k) over the k < d
+prime to d, with distinct roots.  By the Chinese remainder theorem F_p[x]/
+Phi_d is isomorphic to the product of the F_p[x]/(x - r^k) = F_p, with x
+acting on the k-th by r^k; the isomorphism commutes with multiplication
+by x, hence with the action of H.  So the reduced lattice of rho_O,
+ZZ[G] tensor_{ZZ[H]} ZZ[zeta_d] tensor F_p, is the direct sum over k of
+the Ind_H^G F_p(chi^k), F_p(chi^k) being F_p with h = a^u b^v acting by
+r^(k*e(h)): rho_O reduced mod p is conjugate over F_p to the block
+diagonal of these monomial representations with 1 x 1 blocks
+(groups.MatrixRep with a root).  The change of basis is a matrix over F_p,
+constant in t, so conjugating the block matrix by I_{m-1} tensor it
+leaves the block determinant over F_p[t^+-1] exactly equal, not only up
+to a unit; so is ordering rows and columns by character.  The chi^k run
+over the Galois orbit O, and g tensor w -> g*n^-1 tensor w maps
+Ind_H^G F_p(chi . c_n) onto Ind_H^G F_p(chi) for n in N_G(H), as above:
+regular_factors(p=p) keeps one factor per orbit of N_G(H) alone on the
+characters of order d and raises it to the orbit's size.  The numerator
+over F_p is therefore the reduction of the integer one, bit for bit, and
+each such factor eliminates (m-1)*[G:H] rows instead of
+(m-1)*phi(d)*[G:H].  When p | d, or d does not divide p - 1, Phi_d has
+no phi(d) distinct roots in F_p and the factor is kept whole; in
+particular a factor whose order p divides is never split, and the
+left side of a congruence gets no reduction by a p-subgroup.
+
 When every generator maps to one element g, as for every surjection onto
 an abelian group (meridians are conjugate), each Fox block is a Laurent
 polynomial in the one matrix t*rho(g): a term c*w of the derivative
@@ -139,10 +166,17 @@ def evaluate_rep_phi(element: GroupRingElement, f: Homomorphism,
     """(rho.f tensor phi) extended linearly, for any block-monomial
     representation: each group ring term c*w adds c * t^phi(w) times the
     block of x^e mod Phi_d at block (perm[j], j) of rho(f(w)), for every
-    block column j with its exponent e.  A permutation representation has
-    1 x 1 blocks (Phi_1 = x - 1), so a term costs O(dim) there."""
+    block column j with its exponent e, or the scalar r^e mod p when rep
+    has the root (r, p).  A permutation representation has 1 x 1 blocks
+    (Phi_1 = x - 1), so a term costs O(dim) there."""
     dim, d = rep.dimension, rep.cyclotomic
-    residues = cyclotomic_residues(d)
+    if rep.root is None:
+        residues = cyclotomic_residues(d)
+    else:
+        r, p = rep.root
+        if p != domain.p:
+            raise ValueError(f"a factor over F_{p} evaluated over {domain}")
+        residues = tuple((pow(r, e, p),) for e in range(d))
     size = len(residues[0])
     terms: list[dict[int, int]] = [{} for _ in range(dim * dim)]
     for word, c in element.items():
@@ -198,15 +232,18 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     When f sends every generator to one element g, the numerator is the
     permutation norm of the Alexander minor over rho(g) (see the module
     docstring).  Otherwise it is the product, over the pairs (factor,
-    multiplicity) of rep.factors(), of the factor's block determinant to
-    the power multiplicity: for the regular representation one factor per
-    normalizer orbit of Galois orbits of characters of the splitting
-    subgroup H, and rep's own block matrix for any other.  Over Q the
-    regular representation is conjugate to the direct sum of its factors
-    with repetition, so its block matrix is conjugate to the block
+    multiplicity) of rep.factors(domain.p), of the factor's block
+    determinant to the power multiplicity: for the regular representation
+    one factor per normalizer orbit of Galois orbits of characters of the
+    splitting subgroup H, and rep's own block matrix for any other.  Over Q
+    the regular representation is conjugate to the direct sum of its
+    factors with repetition, so its block matrix is conjugate to the block
     diagonal of theirs; both sides of the determinant identity are integer
-    polynomials, so it holds exactly over the integers and every F_p
-    (proof in the module docstring).
+    polynomials, so it holds exactly over the integers and every F_p.
+    Over F_p, a factor of order d > 2 with d | p - 1 is replaced by its
+    F_p-characters, one monomial factor with 1 x 1 blocks per normalizer
+    orbit, conjugate over F_p by a change of basis constant in t, so the
+    numerator is again exactly the same (proofs in the module docstring).
     """
     if rep.group is not f.group:
         raise ValueError("representation and homomorphism target differ")
@@ -232,7 +269,7 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
         fox = [[fox_derivative(r, j) for j in range(1, m + 1) if j != dropped]
                for r in pres.relators]
         num = LaurentPolynomial.one(domain)
-        for factor, multiplicity in rep.factors():
+        for factor, multiplicity in rep.factors(domain.p):
             dim = factor.dimension
             blocks = [[evaluate_rep_phi(d, f, factor, domain) for d in row]
                       for row in fox]

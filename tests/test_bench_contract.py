@@ -8,9 +8,10 @@ a changed CLI result therefore fails here as well as in the benchmark.
 On the verify workloads the Wada layer must run once per automorphism
 class of surjections, every F_p determinant of verify-modp must run on
 the packed F_p kernel rather than fall back to the packed ZZ route and
-have at most 14 rows (one factor of the regular representation's split
-along an abelian subgroup, not its whole block matrix), the 22 of them
-eliminating sum n^3 = 10 414 rows cubed, and
+have at most 8 rows (one factor of the regular representation's split
+along an abelian subgroup, not its whole block matrix, with every factor
+whose characters take values in F_p split into those characters), the 24
+of them eliminating sum n^3 = 6298 rows cubed, and
 verify-exact must compute no determinant larger than an Alexander minor:
 its numerators and orbit products are cycle norms, not eliminations.  Each
 verify-exact check normalises three rational functions, the invariant, the
@@ -78,10 +79,11 @@ def test_verify_modp_stays_on_the_fp_kernel(monkeypatch, capsys):
     # elimination sees the full 24-row block matrix of A4 on 8_18; A4
     # splits along V4 into 3 + 3^3 (one determinant per normalizer orbit
     # of characters), ten 6-row determinants where a cyclic split needs
-    # ten of 12 rows
+    # ten of 12 rows; G(3,7|2) mod 7 on 6_1 splits its 14-row factor of
+    # order 3 into two 7-row ones, since Phi_3 = (x - 2)(x - 4) over F_7
     rows = [n for p, _, n in calls if p is not None]
-    assert max(rows) <= 14
-    assert (len(rows), sum(n ** 3 for n in rows)) == (22, 10_414)
+    assert max(rows) <= 8
+    assert (len(rows), sum(n ** 3 for n in rows)) == (24, 6298)
 
 
 def test_verify_exact_runs_only_alexander_minors(monkeypatch, capsys):

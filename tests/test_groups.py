@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from sympy import totient
 
 from paper_lemmas import (
     alternating4_as_even_permutations,
@@ -543,3 +544,81 @@ class TestRepresentations:
             MatrixRep(g, 2, ((1, 0), (1, 0))).validate()
         with pytest.raises(GroupValidationError, match="one image"):
             MatrixRep(g, 2, ((0, 1),)).validate()
+
+
+SPLIT_GROUPS = [g for _, g, _ in catalog_under_24()] + [dp_semidirect_cp(5)]
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def factor_list(factors):
+    return [(r.dimension, r.cyclotomic, k) for r, k in factors]
+
+
+class TestCharacterSplit:
+    def test_metacyclic_mod_7(self):
+        # along C3 = <b>: Phi_3 = (x - 2)(x - 4) over F_7, and C3 is its own
+        # normalizer, so the two characters of order 3 stay apart
+        g = metacyclic(3, 7, 2)
+        assert factor_list(g.regular_factors()) == [(7, 1, 1), (14, 3, 1)]
+        split = g.regular_factors(p=7)
+        assert factor_list(split) == [(7, 1, 1), (7, 3, 1), (7, 3, 1)]
+        assert [r.root for r, _ in split] == [None, (2, 7), (2, 7)]
+        assert [r.exponents[g.label("b")] for r, _ in split[1:]] \
+            == [(1,) * 7, (2,) * 7]
+
+    def test_dicyclic_mod_7_merges_inverse_characters(self):
+        # along C6 = <a>: b a b^-1 = a^-1, so chi and chi^-1 = chi . c_b
+        # give conjugate factors, one of multiplicity 2 per order 3 and 6
+        g = dicyclic(3)
+        assert factor_list(g.regular_factors()) \
+            == [(2, 1, 1), (2, 2, 1), (4, 3, 1), (4, 6, 1)]
+        split = g.regular_factors(p=7)
+        assert factor_list(split) \
+            == [(2, 1, 1), (2, 2, 1), (2, 3, 2), (2, 6, 2)]
+        assert [r.root for r, _ in split] == [None, None, (2, 7), (3, 7)]
+
+    @pytest.mark.parametrize("g,p", [(alternating4(), 2), (dicyclic(5), 5),
+                                     (dp_semidirect_cp(5), 5)],
+                             ids=["A4-2", "Dic5-5", "D5sC5-5"])
+    def test_no_split_when_p_divides_the_orders(self, g, p):
+        # every character order d is 1, 2 or a multiple of p: the F_p
+        # factors are the integer ones, so a p-group reduction never
+        # reaches the left side of a congruence
+        assert g.regular_factors(p=p) == g.regular_factors()
+        assert all(r.root is None for r, _ in g.regular_factors(p=p))
+
+    @pytest.mark.parametrize("g", SPLIT_GROUPS, ids=lambda g: g.name)
+    def test_every_split_adds_up_and_validates(self, g):
+        # H does not depend on p: every factor over every F_p has the
+        # integer factors' column maps on the cosets of H; a split factor
+        # has a 1 x 1 block per coset, any other phi(d) x phi(d) ones
+        cosets = g.regular_factors()[0][0].perms
+        for p in (None,) + PRIMES:
+            factors = g.regular_factors(p=p)
+            assert g.regular_factors(p=p) is factors  # cached per p
+            assert sum(r.dimension * k for r, k in factors) == g.order
+            for r, _ in factors:
+                assert r.perms == cosets
+                size = 1 if r.root else totient(r.cyclotomic)
+                assert r.dimension == size * len(cosets[0])
+                r.validate()
+
+    def test_validate_rejects_a_wrong_root_or_exponent(self):
+        g = metacyclic(3, 7, 2)
+        chi = g.regular_factors(p=7)[1][0]
+        chi.validate()
+        # 6 and 3 have orders 2 and 6 mod 7, 2 has order 4 mod 5, and 9
+        # is not prime
+        for root in ((6, 7), (3, 7), (2, 5), (2, 9)):
+            bad = MatrixRep(g, 7, chi.perms, chi.exponents, 3, root)
+            with pytest.raises(GroupValidationError, match="order"):
+                bad.validate()
+        exps = list(chi.exponents)
+        exps[1] = (exps[1][0] + 1,) + exps[1][1:]
+        bad = MatrixRep(g, 7, chi.perms, tuple(exps), 3, chi.root)
+        with pytest.raises(GroupValidationError, match="homomorphism"):
+            bad.validate()
+        # a scalar factor has one block per coset, not phi(d)
+        bad = MatrixRep(g, 14, chi.perms, chi.exponents, 3, chi.root)
+        with pytest.raises(GroupValidationError, match="bijection"):
+            bad.validate()

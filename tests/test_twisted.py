@@ -702,3 +702,74 @@ class TestCyclotomicSplit:
                                       domain)
         assert wada_invariant(pres, f, regular_representation(g),
                               domain).numerator == num
+
+
+# every catalog group of order < 24, and D5sC5, with the primes p <= 13 at
+# which some factor of its regular representation splits into characters
+# with values in F_p (a d > 2 with d | p - 1)
+SPLIT_PRIMES = {
+    "C3": (7, 13), "C4": (5, 13), "C5": (11,), "C6": (7, 13),
+    "C8": (5, 13), "C9": (7, 13), "C10": (11,), "C12": (5, 7, 13),
+    "C15": (7, 11, 13), "C16": (5, 13), "C18": (7, 13), "C20": (5, 11, 13),
+    "C21": (7, 13), "D3xC3": (7, 13), "G(4,5|2)": (5, 13),
+    "G(3,7|2)": (7, 13), "Dic3": (7, 13), "Dic5": (11,), "D3sC3": (7, 13),
+    "D5sC5": (11,),
+}
+SPLIT_CASES = [(g, p) for g in [g for _, g, _ in catalog_under_24()]
+               + [dp_semidirect_cp(5)] for p in SPLIT_PRIMES.get(g.name, ())]
+
+
+@pytest.fixture(scope="module")
+def split_knots(table):
+    """The bundled knots and 4_1 # 4_1, the one that maps onto D5sC5."""
+    return {**{k: table[k] for k in KNOTS},
+            "4_1#4_1": connected_sum(table["4_1"], table["4_1"])}
+
+
+class TestCharacterSplit:
+    def test_split_primes(self):
+        # the table above is exactly where a split happens
+        groups = [g for _, g, _ in catalog_under_24()] + [dp_semidirect_cp(5)]
+        found = {}
+        for g in groups:
+            for p in (2, 3, 5, 7, 11, 13):
+                if g.regular_factors(p=p) != g.regular_factors():
+                    found[g.name] = found.get(g.name, ()) + (p,)
+        assert found == SPLIT_PRIMES
+
+    @pytest.mark.parametrize("g,p", SPLIT_CASES,
+                             ids=[f"{g.name}-{p}" for g, p in SPLIT_CASES])
+    def test_numerator_is_bit_identical(self, split_knots, g, p):
+        # every surjection up to conjugacy: the product over the F_p
+        # factors, and wada_invariant over F_p, against the product over
+        # the unsplit factors evaluated over F_p and the reduction of the
+        # integer numerator; the last two are computed once per
+        # automorphism class, whose members' numerators agree exactly
+        # (TestInvariants audits that)
+        domain, rep, checked = prime_field(p), regular_representation(g), 0
+        split, unsplit = g.regular_factors(p=p), g.regular_factors()
+        assert split != unsplit
+        for knot, pres in split_knots.items():
+            homs = find_meridional_surjections(pres, g, up_to_conjugacy=True)
+            for cls in regular_equivalence_classes(homs):
+                oracle = split_numerator(pres, cls[0], unsplit, domain)
+                assert oracle == reduce_mod(
+                    wada_invariant(pres, cls[0], rep).numerator, p), knot
+                for f in cls:
+                    assert split_numerator(pres, f, split, domain) == oracle \
+                        == wada_invariant(pres, f, rep, domain).numerator, \
+                        (knot, f.images)
+                    checked += 1
+        assert checked
+
+    def test_split_factor_needs_its_field(self, table):
+        # a factor with the root (2, 7) has entries in F_7 only
+        g = metacyclic(3, 7, 2)
+        chi = g.regular_factors(p=7)[1][0]
+        f = find_meridional_surjections(table["6_1"], g,
+                                        up_to_conjugacy=True)[0]
+        word = {(1,): 1}
+        assert evaluate_rep_phi(word, f, chi, prime_field(7)).rows == 7
+        for domain in (INTEGERS, prime_field(13)):
+            with pytest.raises(ValueError, match="F_7"):
+                evaluate_rep_phi(word, f, chi, domain)

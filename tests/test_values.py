@@ -51,7 +51,8 @@ VALUES = {
                  lambda: PolyMatrix(1, 2, (f(), f().shift(1)))),
     ConjugacyClass: (("representative", "members", "generates"),
                      lambda: ConjugacyClass(1, frozenset({1}), True)),
-    MatrixRep: (("group", "dimension", "perms", "exponents", "cyclotomic"),
+    MatrixRep: (("group", "dimension", "perms", "exponents", "cyclotomic",
+                 "root"),
                 lambda: MatrixRep(C2, 2, ((0, 1), (1, 0)))),
     Homomorphism: (("group", "images"), lambda: Homomorphism(C2, (1, 1))),
     PDCode: (("crossings",), lambda: PDCode(TREFOIL_PD)),
@@ -155,7 +156,7 @@ def test_defaults():
     assert CoefficientDomain().p is None and CoefficientDomain() == INTEGERS
     assert KnotPresentation(1, ()).meridional is True
     rep = MatrixRep(C2, 2, ((0, 1), (1, 0)))
-    assert rep.exponents is None and rep.cyclotomic == 1
+    assert rep.exponents is None and rep.cyclotomic == 1 and rep.root is None
 
 
 def test_repr():
