@@ -715,8 +715,9 @@ SPLIT_PRIMES = {
     "G(3,7|2)": (7, 13), "Dic3": (7, 13), "Dic5": (11,), "D3sC3": (7, 13),
     "D5sC5": (11,),
 }
-SPLIT_CASES = [(g, p) for g in [g for _, g, _ in catalog_under_24()]
-               + [dp_semidirect_cp(5)] for p in SPLIT_PRIMES.get(g.name, ())]
+SPLIT_GROUPS = [g for _, g, _ in catalog_under_24()] + [dp_semidirect_cp(5)]
+SPLIT_CASES = [(g, p) for g in SPLIT_GROUPS
+               for p in SPLIT_PRIMES.get(g.name, ())]
 
 
 @pytest.fixture(scope="module")
@@ -729,9 +730,8 @@ def split_knots(table):
 class TestCharacterSplit:
     def test_split_primes(self):
         # the table above is exactly where a split happens
-        groups = [g for _, g, _ in catalog_under_24()] + [dp_semidirect_cp(5)]
         found = {}
-        for g in groups:
+        for g in SPLIT_GROUPS:
             for p in (2, 3, 5, 7, 11, 13):
                 if g.regular_factors(p=p) != g.regular_factors():
                     found[g.name] = found.get(g.name, ()) + (p,)
