@@ -18,8 +18,9 @@ loop runs on CPython's arbitrary-precision ints rather than Python lists:
 * over F_p, each value a row update forms is reduced mod p by a Barrett
   multiply on the whole packed integer and divided by the previous pivot
   t^v*g bottom up: the v low slots must be zero, and the rest is
-  multiplied by the Newton inverse of g mod a power of t.  The route
-  condition in determinant keeps every slot digit below 2^30: no carries.
+  multiplied by the Newton inverse of g mod a power of t.  The slot width
+  W >= 32 grows with p and the matrix so that every slot digit stays
+  below 2^(W-2): no carries, at every prime.
 
 Both domains run the same elimination loop (_bareiss) and differ only in
 how a value is divided by the previous pivot.
@@ -57,18 +58,36 @@ class NonInvertibleScalarError(ValueError):
     """Raised when a scalar that must be a unit is not invertible."""
 
 
+# Miller-Rabin with these bases decides primality exactly below
+# _PRIME_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; ValueError for
+    n >= _PRIME_LIMIT, where the test would no longer be a proof."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality "
+                         f"(the limit is {_PRIME_LIMIT})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -769,36 +788,35 @@ def _det_packed_integer(rows: list[list[list[int]]], n: int) -> list[int]:
 
 
 class _PackedFp:
-    """F_p[t] packed in 32-bit slots, reduced mod p by a Barrett multiply
-    on the whole packed integer.
+    """F_p[t] packed in slots of `width` W bits, reduced mod p by a Barrett
+    multiply on the whole packed integer.
 
     reduce takes a packed value whose balanced slot digits d satisfy
-    |d| < 2^30 and returns the packed value of the digits d mod p.  Let c be
-    the least multiple of p with c >= 2^30: adding c to every slot makes
-    each digit d + c lie in [0, B), B = 2^31 + p, with no carries, and does
-    not change it mod p.  With s = bit_length(B*p - 1) and m = ceil(2^s/p),
-    floor((d+c)*m / 2^s) = floor((d+c)/p) exactly, because
-    (d+c)*(m*p - 2^s) < B*p <= 2^s.  Since (d+c)*m < 2*B^2 + B < 2^64,
-    masking the even slots, and separately the odd slots, into 64-bit
-    windows keeps every product inside its own window; each quotient is
-    below 2^(64-s) because B^2 < 2^63, so after the shift by s a mask of
-    64-s bits per window removes what the next window shifted in.  The
-    result x - p*q has every slot in 0..p-1.  The route condition in
-    determinant keeps p <= 18919, for which all of this holds.
+    |d| < 2^(W-2) and returns the packed value of the digits d mod p.  The
+    width must leave room for p: p^2 < 2^(W-2) suffices below.  Let c be
+    the least multiple of p with c >= 2^(W-2): adding c to every slot makes
+    each digit d + c lie in [0, B), B = 2^(W-1) + p <= 2^W, with no carries,
+    and does not change it mod p.  With s = bit_length(B*p - 1) and
+    m = ceil(2^s/p), floor((d+c)*m / 2^s) = floor((d+c)/p) exactly, because
+    (d+c)*(m*p - 2^s) < B*p <= 2^s.  Since 2^s < 2*B*p, (d+c)*m < 2*B^2 + B
+    < 2^(2W), so masking the even slots, and separately the odd slots,
+    into windows of 2W bits keeps every product inside its own window;
+    each quotient is below B/p < 2^(2W-s) because 2*B^2 < 2^(2W), so after
+    the shift by s a mask of 2W-s bits per window removes what the next
+    window shifted in.  The result x - p*q has every slot in 0..p-1.
     """
 
-    WIDTH = 32
-
-    def __init__(self, p: int):
+    def __init__(self, p: int, width: int):
         self.p = p
-        self.shift = (((1 << 31) + p) * p - 1).bit_length()
+        self.width = width
+        self.shift = (((1 << width - 1) + p) * p - 1).bit_length()
         self.multiplier = -(-(1 << self.shift) // p)
         self.masks: dict[int, tuple[int, int, int]] = {}
 
     def reduce(self, v: int) -> int:
         """The packed value of v's balanced slot digits mod p (see the
         class docstring)."""
-        w, p, s = self.WIDTH, self.p, self.shift
+        w, p, s = self.width, self.p, self.shift
         nslots = v.bit_length() // w + 2
         masks = self.masks.get(nslots)
         if masks is None:  # c in every slot, the even slots, the windows
@@ -806,7 +824,7 @@ class _PackedFp:
             windows = ((1 << w * (nslots + nslots % 2)) - 1) \
                 // ((1 << 2 * w) - 1)
             masks = self.masks[nslots] = (
-                -(-(1 << 30) // p) * p * slots, windows * ((1 << w) - 1),
+                -(-(1 << w - 2) // p) * p * slots, windows * ((1 << w) - 1),
                 windows * ((1 << 2 * w - s) - 1))
         offset, even, window = masks
         x = v + offset
@@ -819,7 +837,7 @@ class _PackedFp:
         """(v, deg g, inverse of g mod t^precision, precision) for a
         reduced nonzero d = t^v * g with g(0) != 0; the inverse comes from
         Newton's iteration x <- x * (2 - g x), doubling its length."""
-        w = self.WIDTH
+        w = self.width
         v = ((d & -d).bit_length() - 1) // w
         g = d >> (w * v)
         x = pow(g & ((1 << w) - 1), -1, self.p)
@@ -838,7 +856,7 @@ class _PackedFp:
         precision terms below p^2, so it stays in its slot: the mask is
         exact."""
         v, g_deg, inv, precision = divisor
-        w = self.WIDTH
+        w = self.width
         if not f:
             return 0
         qlen = (f.bit_length() - 1) // w + 1 - v - g_deg
@@ -854,11 +872,14 @@ def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
     Each value a row update forms is reduced mod p (_PackedFp.reduce) and
     divided by the previous pivot bottom up (_PackedFp.divexact).  The
     entries after step k are (k+2)-minors of at most (k+2)*(max_len-1)+1
-    slots, so raw digits stay below n*max_len*(p-1)^2 and quotient digits
-    below (n*max_len+2)*(p-1)^2: both under 2^30 by determinant's route
-    condition.  The coefficients come back balanced, not yet reduced."""
+    slots, so raw digits stay below n*max_len*(p-1)^2, and quotient and
+    Newton-inverse digits below (n*max_len+2)*(p-1)^2.  The slot width W
+    is the least W >= 32 with 2*(p-1)^2*(n*max_len+2) < 2^(W-1), which
+    puts both bounds, and p^2, under the 2^(W-2) that _PackedFp needs.
+    The coefficients come back balanced, not yet reduced."""
     max_len = max((len(e) for row in rows for e in row), default=1)
-    helper = _PackedFp(p)
+    width = max(32, (2 * (p - 1) ** 2 * (n * max_len + 2)).bit_length() + 1)
+    helper = _PackedFp(p, width)
 
     def divide(prev: int, k: int):
         if prev == 1:
@@ -866,16 +887,18 @@ def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
         divisor = helper.divisor(prev, (k + 2) * (max_len - 1) + 1)
         return lambda x: helper.divexact(helper.reduce(x), divisor)
 
-    a = [[_pack(e, helper.WIDTH) for e in row] for row in rows]
-    return _unpack_balanced(_bareiss(a, n, divide), helper.WIDTH)
+    a = [[_pack(e, width) for e in row] for row in rows]
+    return _unpack_balanced(_bareiss(a, n, divide), width)
 
 
 def determinant(m: PolyMatrix) -> LaurentPolynomial:
     """Exact determinant by fraction-free elimination.
 
     Powers of t are factored out of each row first, so the elimination
-    runs on genuine polynomials; the result is bit-identical regardless of
-    internal representation choices.
+    runs on genuine polynomials.  The domain alone picks the kernel: a
+    matrix over ZZ runs _det_packed_integer and one over F_p runs
+    _det_packed_modp, at every p, with a slot width sized from p and the
+    input.  The result does not depend on the width.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -899,11 +922,10 @@ def determinant(m: PolyMatrix) -> LaurentPolynomial:
             else:
                 row.append([0] * (e.min_exp - r) + list(e.coeffs))
         rows.append(row)
-    max_len = max(max((len(e) for row in rows for e in row), default=1), 1)
-    if dom.p is not None and 2 * (dom.p - 1) ** 2 * (n * max_len + 2) < 1 << 31:
-        coeffs = _det_packed_modp(rows, n, dom.p)
-    else:
+    if dom.p is None:
         coeffs = _det_packed_integer(rows, n)
+    else:
+        coeffs = _det_packed_modp(rows, n, dom.p)
     return LaurentPolynomial.make(dom, shift, coeffs)
 
 

@@ -264,9 +264,7 @@ class FiniteGroup:
                 exps = tuple(tuple((al * u + be * v) * d // L % d
                                    for _, u, v in ys) for ys in images)
                 size = 1 if splits else _totient(d)
-                root = (next(r for r in range(2, p)
-                             if _multiplicative_order(r, p) == d), p) \
-                    if splits else None
+                root = (_least_root(d, p), p) if splits else None
                 split.append((MatrixRep(self, size * len(reps), perms, exps,
                                         d, root), len(orbit) // size))
         return tuple(split)
@@ -410,15 +408,25 @@ def dicyclic(n: int) -> FiniteGroup:
                       f"Dic{n}")
 
 
-def _multiplicative_order(k: int, p: int) -> int:
-    k %= p
-    if k == 0:
-        return 0
-    o, x = 1, k
-    while x != 1:
-        x = x * k % p
-        o += 1
-    return o
+def _order_dividing(k: int, n: int, p: int) -> int:
+    """The multiplicative order of k mod the prime p if it divides n >= 1,
+    else 0: the least divisor e of n with k^e = 1 mod p, by one modular
+    power per divisor, not a walk through the powers of k."""
+    for e in range(1, n + 1):
+        if n % e == 0 and pow(k, e, p) == 1:
+            return e
+    return 0
+
+
+def _least_root(d: int, p: int) -> int:
+    """The least element of order d in F_p^*, for d | p - 1.  Each
+    x^((p-1)/d) lies in the cyclic subgroup of order d, and generates it
+    when x generates F_p^*, so the search over x stops early even when
+    the least root is large; the elements of order d are the powers of
+    that generator with exponent prime to d."""
+    z = next(z for z in (pow(x, (p - 1) // d, p) for x in range(2, p))
+             if _order_dividing(z, d, p) == d)
+    return min(pow(z, k, p) for k in range(1, d) if gcd(k, d) == 1)
 
 
 def metacyclic(m: int, p: int, k: int) -> FiniteGroup:
@@ -433,11 +441,11 @@ def metacyclic(m: int, p: int, k: int) -> FiniteGroup:
         raise ValueError(f"p = {p} must be an odd prime")
     if (p - 1) % m != 0:
         raise ValueError(f"p = {p} is not congruent to 1 mod m = {m}")
-    if pow(k, m, p) != 1:
+    order = _order_dividing(k, m, p)
+    if not order:
         raise ValueError(f"k = {k} is not an m-th root of unity mod {p}")
-    if _multiplicative_order(k, p) != m:
-        raise ValueError(
-            f"k = {k} has order {_multiplicative_order(k, p)} mod {p}, not {m}")
+    if order != m:
+        raise ValueError(f"k = {k} has order {order} mod {p}, not {m}")
     return _extension(cyclic(p), m, tuple(i * k % p for i in range(p)), 0,
                       {"a": 1, "b": p}, f"G({m},{p}|{k})")
 
@@ -566,7 +574,7 @@ class MatrixRep(FrozenValue):
             size = _totient(d)
         else:
             r, p = self.root
-            if not _is_prime(p) or _multiplicative_order(r, p) != d:
+            if not _is_prime(p) or _order_dividing(r, d, p) != d:
                 raise GroupValidationError(
                     f"root {r} does not have order {d} mod {p}")
             size = 1

@@ -80,8 +80,6 @@ def fox_derivative(word, j: int) -> GroupRingElement:
     if j < 1:
         raise ValueError("generator index must be positive")
     word = free_reduce(word)
-    if any(abs(letter) < 1 for letter in word):
-        raise ValueError("invalid letter")
     terms: GroupRingElement = {}
     prefix: list[int] = []
     for letter in word:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 import sympy
@@ -47,6 +48,34 @@ class TestDomains:
         with pytest.raises(ValueError):
             prime_field(1)
         assert prime_field(2).is_field
+
+    def test_primality_matches_trial_division_below_10_5(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(-3, 10 ** 5) if algebra._is_prime(n)] \
+            == [n for n in range(-3, 10 ** 5) if trial(n)]
+
+    def test_pseudoprimes_rejected(self):
+        # Carmichael numbers 561 and 41041, the base-2 strong pseudoprime
+        # 2047, and the strong pseudoprime to every prime base up to 37
+        for n in (561, 41041, 2047, 318665857834031151167461):
+            assert not algebra._is_prime(n), n
+            with pytest.raises(ValueError, match="not prime"):
+                prime_field(n)
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        assert prime_field(2 ** 61 - 1).p == 2 ** 61 - 1
+        assert time.perf_counter() - start < 0.5
+
+    def test_modulus_beyond_the_proven_range_rejected(self):
+        # Miller-Rabin on the bases 2..41 is a proof only below 3.3e24
+        limit = 3317044064679887385961981
+        assert not algebra._is_prime(limit - 1)  # even, and below it
+        for n in (limit, sympy.nextprime(4 * 10 ** 24)):
+            with pytest.raises(ValueError, match="too large"):
+                prime_field(n)
 
     def test_integer_units(self):
         assert INTEGERS.inv(-1) == -1
@@ -390,6 +419,10 @@ def _times(f, e, p):
     return out
 
 
+# (p, W): the slot width the F_p kernel picks for n*max_len = 100
+WIDE_SLOTS = [(65537, 41), (1000003, 49), (2 ** 31 - 1, 71)]
+
+
 class TestPackedFpKernel:
     def test_matches_sympy_on_sparse_matrices(self, monkeypatch):
         # the oracle: sympy's determinant of the matrix lifted to ZZ[t],
@@ -433,8 +466,8 @@ class TestPackedFpKernel:
         assert sum(v > 0 for v in seen_v) >= 75
 
     def test_bottom_up_division(self):
-        helper = algebra._PackedFp(5)
-        w = helper.WIDTH
+        helper = algebra._PackedFp(5, 32)
+        w = helper.width
         pack = algebra._pack
         # prev = t * (1 + 2t), and (3 + t) * prev = t * (3 + 2t + 2t^2)
         divisor = helper.divisor(pack([0, 1, 2], w), 4)
@@ -443,8 +476,8 @@ class TestPackedFpKernel:
                 for f in (pack([0, 3, 2, 2], w), 0)] == [pack([3, 1], w), 0]
 
     def test_inexact_division_raises(self):
-        helper = algebra._PackedFp(5)
-        w = helper.WIDTH
+        helper = algebra._PackedFp(5, 32)
+        w = helper.width
         pack = algebra._pack
         divisor = helper.divisor(pack([0, 1, 2], w), 4)
         # a nonzero slot below t^v
@@ -455,21 +488,77 @@ class TestPackedFpKernel:
         with pytest.raises(ArithmeticError):
             helper.divexact(helper.reduce(pack([0, 3], w)), divisor)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 8191, 18919])
-    def test_slot_reduction_matches_digitwise_mod(self, p):
-        # 18919 is the largest prime the route condition in determinant
-        # admits; the oracle is d % p on every balanced digit
-        helper = algebra._PackedFp(p)
-        w = helper.WIDTH
-        edge = [(1 << 30) - 1, -((1 << 30) - 1), 0, p - 1, -(p - 1)]
+    @pytest.mark.parametrize("p, width", [
+        *(pytest.param(p, 32, id=str(p)) for p in (2, 3, 5, 7, 11, 8191,
+                                                   18919)),
+        *(pytest.param(p, w, id=f"{p}-w{w}") for p, w in WIDE_SLOTS)])
+    def test_slot_reduction_matches_digitwise_mod(self, p, width):
+        # 18919 is the largest prime whose 32-bit slots hold the digits of
+        # a matrix with n*max_len = 1; the oracle is d % p on every
+        # balanced digit, up to the 2^(W-2) bound of the class docstring
+        helper = algebra._PackedFp(p, width)
+        w = helper.width
+        top = (1 << w - 2) - 1
+        edge = [top, -top, 0, p - 1, -(p - 1)]
         rng = random.Random(p)
         for _ in range(400):
             digits = [rng.choice(edge) if rng.random() < 0.5
-                      else rng.randrange(-(1 << 30) + 1, 1 << 30)
+                      else rng.randrange(-top, top + 1)
                       for _ in range(rng.randrange(1, 61))]
             packed = sum(d << (w * i) for i, d in enumerate(digits))
             want = sum((d % p) << (w * i) for i, d in enumerate(digits))
             assert helper.reduce(packed) == want, (p, digits)
+
+    @pytest.mark.parametrize("p, width", [(2, 32), (7, 32)] + WIDE_SLOTS)
+    def test_width_is_the_least_that_bounds_the_digits(self, monkeypatch,
+                                                       p, width):
+        # a 10 x 10 matrix with entries of 10 coefficients: n*max_len = 100
+        widths, init = [], algebra._PackedFp.__init__
+
+        def init_spy(self, p, width):
+            widths.append(width)
+            init(self, p, width)
+
+        monkeypatch.setattr(algebra._PackedFp, "__init__", init_spy)
+        rows = [[[1] * 10 if i == j else [] for j in range(10)]
+                for i in range(10)]
+        algebra._det_packed_modp(rows, 10, p)
+        bound = 2 * (p - 1) ** 2 * (10 * 10 + 2)
+        assert widths == [width]
+        assert bound < 1 << width - 1
+        assert width == 32 or bound >= 1 << width - 2
+
+    def test_large_primes_stay_on_the_fp_kernel(self, monkeypatch):
+        # every prime up to 2^31 - 1 runs the packed F_p kernel, whose
+        # slots grow with p; the oracle is sympy's determinant of the
+        # matrix lifted to ZZ[t], reduced mod p.  Each prime here is above
+        # 18919, the largest that fits 32-bit slots.
+        ring = sympy.ZZ[sympy.symbols("t")]
+        kernels = {"_det_packed_modp": [], "_det_packed_integer": []}
+        for name, calls in kernels.items():
+            def spy(*args, _kernel=getattr(algebra, name), _calls=calls):
+                _calls.append(args[1])
+                return _kernel(*args)
+            monkeypatch.setattr(algebra, name, spy)
+        rng, nonzero = random.Random(31337), 0
+        for case in range(48):
+            p = (18947, 65537, 1000003, 2 ** 31 - 1)[case % 4]
+            n = rng.randrange(3, 12)
+            kind = case // 4 % 4
+            rows = sparse_fp_matrix(rng, n, p, kind)
+            field = prime_field(p)
+            got = determinant(PolyMatrix.from_rows(
+                [[LaurentPolynomial.make(field, 0, e) for e in row]
+                 for row in rows]))
+            lifted = DomainMatrix(
+                [[ring.ring.from_list(e[::-1]) for e in row] for row in rows],
+                (n, n), ring).det()
+            want = LaurentPolynomial.make(field, 0, lifted.to_dense()[::-1])
+            assert got == want, (case, p, n, kind)
+            nonzero += not got.is_zero
+        assert nonzero >= 30
+        assert len(kernels["_det_packed_modp"]) == 48
+        assert kernels["_det_packed_integer"] == []
 
 
 class TestGcdAndDivision:

@@ -6,13 +6,12 @@ in a fresh interpreter, compares every outcome with
 span.  A renamed traced function, a layer that no longer does its work, or
 a changed CLI result therefore fails here as well as in the benchmark.
 On the verify workloads the Wada layer must run once per automorphism
-class of surjections, every F_p determinant of verify-modp must run on
-the packed F_p kernel rather than fall back to the packed ZZ route and
-have at most 8 rows (one factor of the regular representation's split
-along an abelian subgroup, not its whole block matrix, with every factor
-whose characters take values in F_p split into those characters), the 24
-of them eliminating sum n^3 = 6298 rows cubed, and
-verify-exact must compute no determinant larger than an Alexander minor:
+class of surjections, every F_p determinant of verify-modp must run the
+packed F_p kernel once, with no early return, and have at most 8 rows
+(one factor of the regular representation's split along an abelian
+subgroup, not its whole block matrix, with every factor whose characters
+take values in F_p split into those characters), the 24 of them
+eliminating sum n^3 = 6298 rows cubed, and verify-exact must compute no determinant larger than an Alexander minor:
 its numerators and orbit products are cycle norms, not eliminations.  Each
 verify-exact check normalises three rational functions, the invariant, the
 right-hand side and the Alexander polynomial, and compares the normal

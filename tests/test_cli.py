@@ -125,6 +125,28 @@ class TestCompute:
                            "--group", "C2", "--mod", "6")
         assert code == 3 and "not prime" in err
 
+    def test_semidirect_spec_with_two_primes_rejected(self, capsys):
+        code, out, err = run(capsys, "compute", "--knot", "3_1",
+                             "--group", "D3sC5")
+        assert code == 3 and out == "" and "DpsCp" in err
+
+    def test_modulus_beyond_the_primality_proof_rejected(self, capsys):
+        # a 25-digit prime above the range where Miller-Rabin on the
+        # bases 2..41 is a proof
+        code, out, err = run(capsys, "compute", "--knot", "3_1",
+                             "--group", "C2", "--mod",
+                             "4000000000000000000000027")
+        assert code == 3 and out == "" and "too large" in err
+
+    def test_large_prime_modulus(self, capsys):
+        code, report, _ = run_json(capsys, "compute", "--knot", "3_1",
+                                   "--group", "D3", "--mod",
+                                   str(2 ** 61 - 1), "--up-to-conjugacy")
+        assert code == 0
+        [res] = report["results"]
+        assert res["modulus"] == 2 ** 61 - 1
+        assert res["surjections_found"] == 1
+
     def test_cayley_file_group(self, capsys, tmp_path):
         path = tmp_path / "c5.json"
         path.write_text(json.dumps(cyclic(5).to_json()))
@@ -226,6 +248,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--case", "a4")
         assert code == 3 and out == ""
         assert err.startswith("error: no knot selected")
+
+    def test_cyclic_order_below_one_exits_3(self, capsys):
+        code, out, err = run(capsys, "verify", "--case", "cyclic", "--n",
+                             "0", "--knot", "3_1")
+        assert code == 3 and out == "" and "needs n >= 1" in err
 
     def test_missing_case(self, capsys):
         code, _, err = run(capsys, "verify", "--knot", "3_1")

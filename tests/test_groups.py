@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 from sympy import totient
@@ -22,6 +23,8 @@ from talex.groups import (
     dihedral,
     direct_product,
     dp_semidirect_cp,
+    _least_root,
+    _order_dividing,
     group_from_cayley_json,
     metacyclic,
     regular_representation,
@@ -622,3 +625,41 @@ class TestCharacterSplit:
         bad = MatrixRep(g, 14, chi.perms, chi.exponents, 3, chi.root)
         with pytest.raises(GroupValidationError, match="bijection"):
             bad.validate()
+
+
+def order_up_to(r: int, n: int, p: int) -> int:
+    """The order of r mod p by walking r, r^2, ..., r^n, or 0 when no
+    power up to the n-th is 1: the oracle for the order helpers."""
+    x, e = r % p, 1
+    while x != 1 and e < n:
+        x, e = x * r % p, e + 1
+    return e if x == 1 else 0
+
+
+class TestRootsOfUnityModP:
+    @pytest.mark.parametrize("p", [2, 3, 7, 13, 29])
+    def test_order_dividing_matches_the_walk(self, p):
+        for k in range(-p, 2 * p):
+            order = order_up_to(k, p, p)
+            for n in range(1, 2 * p):
+                want = order if order and n % order == 0 else 0
+                assert _order_dividing(k, n, p) == want, (k, n, p)
+
+    @pytest.mark.parametrize("d,p", [
+        (3, 7), (6, 7), (4, 13), (6, 13), (12, 13), (5, 11), (10, 11),
+        (9, 19), (18, 19), (7, 29), (28, 29), (4, 1000037), (3, 100003)])
+    def test_least_root_is_the_least_element_of_order_d(self, d, p):
+        least = next(r for r in range(2, p) if order_up_to(r, d, p) == d)
+        assert _least_root(d, p) == least
+
+    def test_root_search_does_not_walk_the_field(self):
+        # the least element of order 3 mod 100003 is 7120; the split must
+        # not look for it by computing the order of 2, 3, ..., 7120
+        g = metacyclic(3, 7, 2)
+        start = time.perf_counter()
+        split = g.regular_factors(p=100003)
+        assert time.perf_counter() - start < 0.5
+        assert [r.root for r, _ in split] \
+            == [None, (7120, 100003), (7120, 100003)]
+        for r, _ in split:
+            r.validate()

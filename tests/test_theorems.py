@@ -375,6 +375,10 @@ class TestRhs:
         with pytest.raises(ValueError, match="Delta"):
             _rhs(make_case("a4"), poly([2, 1]))  # Delta(1) = 3
 
+    def test_rejects_alexander_polynomial_over_f_p(self):
+        with pytest.raises(ValueError, match="exact over ZZ"):
+            _rhs(make_case("a4"), poly([1, -1, 1], domain=prime_field(2)))
+
     def test_cyclic_with_modulus(self):
         delta = poly([1, -3, 1])
         out = _rhs(make_case("cyclic", n=2, modulus=5), delta)

@@ -222,6 +222,32 @@ class TestWadaInvariant:
         with pytest.raises(ValueError, match="deficiency"):
             wada_invariant(pres, f, regular_representation(g))
 
+    def test_cyclotomic_factor_rejected(self, trefoil):
+        # a factor of order d > 1 has blocks on ZZ[x]/Phi_d, whose
+        # denominator the permutation norm would get wrong
+        g = dihedral(3)
+        f = find_meridional_surjections(trefoil, g)[0]
+        factor = next(r for r, _ in g.regular_factors() if r.cyclotomic > 1)
+        with pytest.raises(ValueError, match="permutation representation"):
+            wada_invariant(trefoil, f, factor)
+
+    def test_non_meridional_presentation_rejected(self, trefoil):
+        g = dihedral(3)
+        f = find_meridional_surjections(trefoil, g)[0]
+        pres = KnotPresentation(trefoil.generators, trefoil.relators,
+                                meridional=False)
+        with pytest.raises(ValueError, match="meridional"):
+            wada_invariant(pres, f, regular_representation(g))
+
+    @pytest.mark.parametrize("dropped", [0, 4, -1])
+    def test_dropped_generator_out_of_range_rejected(self, trefoil,
+                                                     dropped):
+        g = dihedral(3)
+        f = find_meridional_surjections(trefoil, g)[0]
+        with pytest.raises(ValueError, match="out of range"):
+            wada_invariant(trefoil, f, regular_representation(g),
+                           dropped_generator=dropped)
+
     def test_equal_image_route_matches_generic_assembly(self, table):
         # every homomorphism below sends all generators to one element, so
         # wada_invariant evaluates the Alexander minor at t*rho(g); the
@@ -367,6 +393,22 @@ class TestTwistedMod:
             assert got == reduce_mod(
                 determinant(PolyMatrix.from_rows(lifted)), p), name
             assert got == wada_invariant(pres, f, rep, domain).numerator
+
+    @pytest.mark.parametrize("knot,group,p", [
+        ("6_1", metacyclic(3, 7, 2), 100019),
+        ("4_1", dicyclic(5), 1000037)], ids=["G(3,7|2)-6_1", "Dic5-4_1"])
+    def test_large_prime_numerators_reduce_the_integer_ones(
+            self, table, knot, group, p):
+        # primes too large for 32-bit slots, where the F_p kernel widens
+        # them; no character order of either split divides p - 1, so the
+        # F_p factors are the integer ones
+        pres = table[knot]
+        homs = find_meridional_surjections(pres, group, up_to_conjugacy=True)
+        exact = invariants(pres, group, homs)
+        modded = invariants(pres, group, homs, prime_field(p))
+        assert homs
+        assert [r.numerator for r in modded] \
+            == [reduce_mod(r.numerator, p) for r in exact]
 
     def test_conjugate_surjections_agree(self, trefoil):
         g = dihedral(3)
