@@ -42,7 +42,6 @@ Element index conventions:
 
 from __future__ import annotations
 
-import json
 from itertools import product
 from math import gcd, lcm
 
@@ -62,7 +61,7 @@ class FiniteGroup:
         self.name = name or f"G{self.order}"
         self.labels = dict(labels or {})
         self._validate()
-        self.identity = self._find_identity()
+        self.identity = self.cayley[0].index(0)
         self.inverses = self._find_inverses()
         self._inner: tuple[tuple[int, ...], ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
@@ -73,6 +72,11 @@ class FiniteGroup:
     # -- construction-time checks ----------------------------------------
 
     def _validate(self):
+        """Check the group axioms.  Once rows and columns are permutations
+        and Light's test has proved associativity, the table is an
+        associative quasigroup, that is a group, so it has an identity:
+        the one e with 0*e = 0, cayley[0].index(0).  No search for an
+        identity, and no error for a missing one, is needed after this."""
         n = self.order
         if n == 0:
             raise GroupValidationError("empty Cayley table")
@@ -128,14 +132,6 @@ class FiniteGroup:
                             reached[z] = True
                             queue.append(z)
         return gens
-
-    def _find_identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            if all(self.cayley[e][x] == x and self.cayley[x][e] == x
-                   for x in range(n)):
-                return e
-        raise GroupValidationError("no identity element")
 
     def _find_inverses(self) -> tuple[int, ...]:
         """Row g is a permutation, so exactly one h has g*h = e.  It is a
@@ -499,12 +495,10 @@ def trivial_group() -> FiniteGroup:
     return cyclic(1)
 
 
-def group_from_cayley_json(obj: dict | str) -> FiniteGroup:
-    """Load {order, identity, table, labels} and re-validate all axioms.
-    A label or table entry that is not a JSON integer is rejected, not
-    coerced: 1.5 and true are not elements."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def group_from_cayley_json(obj: dict) -> FiniteGroup:
+    """Load parsed JSON {order, identity, table, labels} and re-validate all
+    axioms.  A label or table entry that is not a JSON integer is rejected,
+    not coerced: 1.5 and true are not elements."""
     try:
         table = obj["table"]
         if len(table) != obj["order"]:

@@ -1,5 +1,13 @@
-"""Knot group presentations: free words, Fox derivatives, the Alexander
-minor, and Wirtinger presentations read off planar diagram (PD) codes.
+"""Knot group presentations: free words, Fox derivatives and the Fox
+Jacobian, the Alexander minor, and Wirtinger presentations read off planar
+diagram (PD) codes.
+
+fox_jacobian is the one function that takes the Fox derivatives of a
+presentation's relators, and it checks what every use of them needs: a
+meridional presentation of deficiency one and a dropped generator in
+range.  The Alexander minor is the determinant of the Jacobian
+abelianized, and twisted.wada_invariant evaluates the same Jacobian at a
+representation.
 
 Free words are tuples of nonzero ints: letter +j is the generator x_j,
 letter -j its inverse (j is 1-based).  Elements of the integral group ring
@@ -153,7 +161,13 @@ class KnotPresentation(FrozenValue):
 
 def wirtinger_from_pd(pd: PDCode) -> KnotPresentation:
     """Wirtinger presentation with one generator per arc and one relator
-    per crossing, the final crossing's (redundant) relator dropped."""
+    per crossing, the final crossing's (redundant) relator dropped.
+
+    The edges 1..2n form one cycle under e -> e + 1 mod 2n, and each arc
+    runs from just after one under-in edge to the next one along that
+    cycle, so the arcs always cover all 2n edges: no diagram that passes
+    the under-strand and over-edge checks has an edge outside every arc,
+    and there is no separate check for a single closed component."""
     n = len(pd)
     total = 2 * n
 
@@ -186,8 +200,6 @@ def wirtinger_from_pd(pd: PDCode) -> KnotPresentation:
             if e in under_in:
                 break
             e = nxt(e)
-    if len(arc_of_edge) != total:
-        raise PDValidationError("diagram is not a single closed component")
 
     relators = []
     for idx, (a, b, c, d) in enumerate(pd.crossings):
@@ -272,39 +284,55 @@ def simplify_presentation(pres: KnotPresentation) -> KnotPresentation:
         meridional=pres.meridional)
 
 
+def fox_jacobian(pres: KnotPresentation,
+                 dropped: int | None = None) -> list[list[GroupRingElement]]:
+    """The Fox Jacobian dr_i/dx_j: one row per relator r_i, and one column
+    per generator x_j in ascending order, the column of x_dropped removed
+    (x_m unless dropped names another generator).
+
+    This is the one place that checks what Wada's invariant and the
+    Alexander minor need of a presentation: meridional, of deficiency one,
+    and a dropped generator in 1..m.  A one-generator presentation has no
+    relators, so its Jacobian has no rows.  The result is not cached: its
+    entries are mutable dicts that callers may hold.
+    """
+    m = pres.generators
+    dropped = m if dropped is None else dropped
+    if len(pres.relators) != m - 1:
+        raise ValueError(f"need deficiency one: {m} generators, "
+                         f"{len(pres.relators)} relators")
+    if not pres.meridional:
+        raise ValueError("the Fox Jacobian needs a meridional presentation")
+    if not 1 <= dropped <= m:
+        raise ValueError(f"dropped generator {dropped} out of range")
+    return [[fox_derivative(r, j) for j in range(1, m + 1) if j != dropped]
+            for r in pres.relators]
+
+
 @lru_cache(maxsize=256)
 def alexander_minor(pres: KnotPresentation,
                     domain: CoefficientDomain = INTEGERS,
                     dropped: int | None = None) -> LaurentPolynomial:
-    """The Alexander minor D(t): the determinant of the Fox Jacobian
-    abelianized by x_i -> t, with the column of x_dropped removed (x_m
-    unless dropped names another generator), over the given domain.
+    """The Alexander minor D(t): the determinant of fox_jacobian(pres,
+    dropped) abelianized by x_i -> t, over the given domain.
 
-    The presentation must be meridional and of deficiency one; with no
-    relators (the one-generator unknot) D is 1.  D(t) equals Delta_K(t) up
-    to a unit for every choice of column, and D(1) = +-1 for a knot.
-    Presentations and domains are frozen, so each minor is computed once
-    per call signature and cached.
+    With no relators (the one-generator unknot) D is 1 over the domain;
+    an empty PolyMatrix would report the integers.  D(t) equals
+    Delta_K(t) up to a unit for every choice of column, and D(1) = +-1 for
+    a knot.  Presentations and domains are frozen, so each minor is
+    computed once per call signature and cached.
     """
-    m = pres.generators
-    dropped = m if dropped is None else dropped
-    if not pres.meridional or len(pres.relators) != m - 1 \
-            or not 1 <= dropped <= m:
-        raise ValueError("the Alexander minor needs a meridional "
-                         "deficiency-one presentation and a generator to drop")
-    if not pres.relators:
-        return LaurentPolynomial.one(domain)
     rows = []
-    for r in pres.relators:
-        row = []
-        for j in range(1, m + 1):
-            if j != dropped:
-                cell: dict[int, int] = {}
-                for word, c in fox_derivative(r, j).items():
-                    e = abelian_exponent(word)
-                    cell[e] = cell.get(e, 0) + c
-                row.append(LaurentPolynomial.from_coeff_map(domain, cell))
-        rows.append(row)
+    for row in fox_jacobian(pres, dropped):
+        rows.append([])
+        for element in row:
+            cell: dict[int, int] = {}
+            for word, c in element.items():
+                e = abelian_exponent(word)
+                cell[e] = cell.get(e, 0) + c
+            rows[-1].append(LaurentPolynomial.from_coeff_map(domain, cell))
+    if not rows:
+        return LaurentPolynomial.one(domain)
     return determinant(PolyMatrix.from_rows(rows))
 
 

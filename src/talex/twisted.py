@@ -3,12 +3,14 @@ onto a finite group, and a permutation representation.
 
 For a deficiency-one meridional presentation with generators x_1..x_m and
 relators r_1..r_{m-1}, a surjection f onto G, and a representation rho of
-G, the invariant is the quotient of two determinants: the big one of the
-(m-1) x (m-1) block matrix of Fox derivatives pushed through rho.f tensor
-the abelianization phi, and the small one of (rho.f tensor phi)(x_j - 1)
-for a dropped generator x_j.  The quotient, up to units c*t^k, does not
-depend on j (Wada, Topology 33, 1994); this module drops x_m unless the
-caller names another generator.
+G, the invariant is the quotient of two determinants: the big one of
+Phi(J), the Fox Jacobian J = (dr_i/dx_k) without the column of a dropped
+generator x_j (knots.fox_jacobian), pushed entry by entry through
+Phi = rho.f tensor the abelianization phi, and the small one of
+Phi(x_j - 1).  The quotient, up to units c*t^k, does not depend on j
+(Wada, Topology 33, 1994); this module drops x_m unless the caller names
+another generator.  The numerator is computed as the product over the
+factors of rho (below) of det Phi_factor(J) to the factor's multiplicity.
 
 Every representation given to wada_invariant is by permutation matrices
 (see groups.MatrixRep).
@@ -33,8 +35,9 @@ keys each class by a Cayley graph and proves that the key decides it.
 representation itself, evaluates one member per automorphism class, and
 hands every surjection its class's result.
 
-Block rows are ordered by (relator, representation row) and block columns
-by (kept generator ascending, representation column).
+evaluate_rep_phi maps all of J to one matrix in one pass: its rows are
+ordered by (relator, representation row) and its columns by (kept
+generator ascending, representation column).
 
 The numerator is multiplicative over a splitting of the representation, and
 the regular representation splits along any abelian subgroup H = <a> x <b>.
@@ -132,7 +135,7 @@ from .knots import (
     KnotPresentation,
     abelian_exponent,
     alexander_minor,
-    fox_derivative,
+    fox_jacobian,
 )
 
 
@@ -161,14 +164,23 @@ class TwistedAlexanderResult(FrozenValue):
         }
 
 
-def evaluate_rep_phi(element: GroupRingElement, f: Homomorphism,
-                     rep: MatrixRep, domain: CoefficientDomain) -> PolyMatrix:
-    """(rho.f tensor phi) extended linearly, for any block-monomial
-    representation: each group ring term c*w adds c * t^phi(w) times the
+def evaluate_rep_phi(matrix: list[list[GroupRingElement]],
+                     f: Homomorphism, rep: MatrixRep,
+                     domain: CoefficientDomain) -> PolyMatrix:
+    """(rho.f tensor phi) extended linearly and applied to every entry of a
+    square n x n matrix of group ring elements, as one (n*dim) x (n*dim)
+    matrix: entry (a, b) becomes the dim x dim block in rows a*dim.. and
+    columns b*dim.., so rows are ordered by (row of the input, row of the
+    representation) and columns likewise.  For any block-monomial
+    representation each group ring term c*w adds c * t^phi(w) times the
     block of x^e mod Phi_d at block (perm[j], j) of rho(f(w)), for every
     block column j with its exponent e, or the scalar r^e mod p when rep
     has the root (r, p).  A permutation representation has 1 x 1 blocks
-    (Phi_1 = x - 1), so a term costs O(dim) there."""
+    (Phi_1 = x - 1), so a term costs O(dim) there.  The presentation checks
+    are knots.fox_jacobian's; this function only checks that the matrix is
+    square and that a factor over F_p is evaluated over its own field."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("evaluate_rep_phi needs a square matrix")
     dim, d = rep.dimension, rep.cyclotomic
     if rep.root is None:
         residues = cyclotomic_residues(d)
@@ -177,23 +189,26 @@ def evaluate_rep_phi(element: GroupRingElement, f: Homomorphism,
         if p != domain.p:
             raise ValueError(f"a factor over F_{p} evaluated over {domain}")
         residues = tuple((pow(r, e, p),) for e in range(d))
-    size = len(residues[0])
-    terms: list[dict[int, int]] = [{} for _ in range(dim * dim)]
-    for word, c in element.items():
-        g = evaluate_word(f.group, f.images, word)
-        perm = rep.perms[g]
-        exps = rep.exponents[g] if rep.exponents else (0,) * len(perm)
-        e = abelian_exponent(word)
-        for j, (i, x) in enumerate(zip(perm, exps)):
-            for jj in range(size):
-                column = j * size + jj
-                for r, v in enumerate(residues[(x + jj) % d]):
-                    if v:
-                        cell = terms[(i * size + r) * dim + column]
-                        cell[e] = cell.get(e, 0) + c * v
+    size, width = len(residues[0]), len(matrix) * dim
+    terms: list[dict[int, int]] = [{} for _ in range(width * width)]
+    for a, row in enumerate(matrix):
+        for b, element in enumerate(row):
+            origin = a * dim * width + b * dim
+            for word, c in element.items():
+                g = evaluate_word(f.group, f.images, word)
+                perm = rep.perms[g]
+                exps = rep.exponents[g] if rep.exponents else (0,) * len(perm)
+                e = abelian_exponent(word)
+                for j, (i, x) in enumerate(zip(perm, exps)):
+                    for jj in range(size):
+                        column = origin + j * size + jj
+                        for r, v in enumerate(residues[(x + jj) % d]):
+                            if v:
+                                cell = terms[(i * size + r) * width + column]
+                                cell[e] = cell.get(e, 0) + c * v
     entries = tuple(LaurentPolynomial.from_coeff_map(domain, cell)
                     for cell in terms)
-    return PolyMatrix(dim, dim, entries)
+    return PolyMatrix(width, width, entries)
 
 
 def permutation_norm(a: LaurentPolynomial, perm) -> LaurentPolynomial:
@@ -232,8 +247,9 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     When f sends every generator to one element g, the numerator is the
     permutation norm of the Alexander minor over rho(g) (see the module
     docstring).  Otherwise it is the product, over the pairs (factor,
-    multiplicity) of rep.factors(domain.p), of the factor's block
-    determinant to the power multiplicity: for the regular representation
+    multiplicity) of rep.factors(domain.p), of determinant(evaluate_rep_phi(
+    J, f, factor, domain)) ** multiplicity, J = knots.fox_jacobian(pres,
+    dropped): for the regular representation
     one factor per normalizer orbit of Galois orbits of characters of the
     splitting subgroup H, and rep's own block matrix for any other.  Over Q
     the regular representation is conjugate to the direct sum of its
@@ -244,39 +260,28 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     F_p-characters, one monomial factor with 1 x 1 blocks per normalizer
     orbit, conjugate over F_p by a change of basis constant in t, so the
     numerator is again exactly the same (proofs in the module docstring).
+
+    The presentation and the dropped generator are checked by
+    knots.fox_jacobian, on either route, before the denominator reads
+    f(x_dropped); this function checks only the representation.
     """
     if rep.group is not f.group:
         raise ValueError("representation and homomorphism target differ")
     if rep.cyclotomic != 1:
         raise ValueError("wada_invariant needs a permutation representation")
-    m = pres.generators
-    if len(pres.relators) != m - 1:
-        raise ValueError(
-            f"need deficiency one: {m} generators, {len(pres.relators)} "
-            "relators")
-    if not pres.meridional:
-        raise ValueError("twisted invariants need a meridional presentation")
-    dropped = m if dropped_generator is None else dropped_generator
-    if not 1 <= dropped <= m:
-        raise ValueError(f"dropped generator {dropped} out of range")
-    den = permutation_norm(LaurentPolynomial.make(domain, 0, [-1, 1]),
-                           rep.perms[f.images[dropped - 1]])
-
+    dropped = pres.generators if dropped_generator is None \
+        else dropped_generator
     if len(set(f.images)) == 1:
         num = permutation_norm(alexander_minor(pres, domain, dropped),
                                rep.perms[f.images[0]])
     else:
-        fox = [[fox_derivative(r, j) for j in range(1, m + 1) if j != dropped]
-               for r in pres.relators]
+        jacobian = fox_jacobian(pres, dropped)
         num = LaurentPolynomial.one(domain)
         for factor, multiplicity in rep.factors(domain.p):
-            dim = factor.dimension
-            blocks = [[evaluate_rep_phi(d, f, factor, domain) for d in row]
-                      for row in fox]
-            num = num * determinant(PolyMatrix.from_rows(
-                [[block.entry(i, jj) for block in block_row
-                  for jj in range(dim)]
-                 for block_row in blocks for i in range(dim)])) ** multiplicity
+            num = num * determinant(evaluate_rep_phi(
+                jacobian, f, factor, domain)) ** multiplicity
+    den = permutation_norm(LaurentPolynomial.make(domain, 0, [-1, 1]),
+                           rep.perms[f.images[dropped - 1]])
 
     normalized = rational_normalize(RationalFunction(num, den))
     return TwistedAlexanderResult(num, den, dropped, normalized)

@@ -335,6 +335,11 @@ class TestDeterminant:
     def test_empty(self):
         assert determinant(PolyMatrix(0, 0, ())) == LaurentPolynomial.one()
 
+    def test_ragged_rows_rejected(self):
+        one = LaurentPolynomial.one()
+        with pytest.raises(ValueError, match="ragged"):
+            PolyMatrix.from_rows([[one, one], [one]])
+
     def test_three_cycle(self):
         t = LaurentPolynomial.t_power(1)
         one = LaurentPolynomial.one()
@@ -667,6 +672,13 @@ class TestReduceMod:
     def test_requires_prime(self):
         with pytest.raises(ValueError):
             reduce_mod(poly([1, 1]), 4)
+
+    def test_rational_function_with_vanishing_denominator(self):
+        # 3t - 3 is a nonzero integer polynomial that is 0 over F_3
+        f = RationalFunction(poly([1, 1]), poly([-3, 3]))
+        assert f.reduce_mod(5).denominator == poly([2, 3], domain=F5)
+        with pytest.raises(ZeroDivisionError, match="vanishes mod 3"):
+            f.reduce_mod(3)
 
     @given(laurent(), laurent(), st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=80, deadline=None)

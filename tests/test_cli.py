@@ -103,6 +103,12 @@ class TestCompute:
                                "--group", spec)
             assert code == 3 and err.startswith("error:"), spec
 
+    def test_metacyclic_with_m_zero(self, capsys):
+        code, out, err = run(capsys, "compute", "--knot", "3_1",
+                             "--group", "G(0,7|2)")
+        assert (code, out) == (3, "")
+        assert err == "error: m must be positive\n"
+
     def test_even_dihedral_hint(self, capsys):
         code, _, err = run(capsys, "compute", "--knot", "3_1",
                            "--group", "D4")
@@ -522,6 +528,40 @@ class TestTableSources:
                              "--group", f"cayley:{path}")
         assert code == 3 and out == ""
         assert f"{bad} is not an integer" in err
+
+
+    @pytest.mark.parametrize("content,message", [
+        ({"order": 0, "table": []}, "empty Cayley table"),
+        ({"order": 2, "table": [[0, 1], [1]]}, "row 1 has wrong length"),
+        ({"order": 2, "table": [[0, 1], [0, 1]]},
+         "column 0 is not a permutation"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "labels": {"a": 2}},
+         "label 'a' out of range"),
+    ], ids=["empty", "short-row", "column", "label-range"])
+    def test_cayley_table_failing_an_axiom_is_bad_input(
+            self, capsys, tmp_path, content, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "compute", "--knot", "3_1",
+                             "--group", f"cayley:{path}")
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot load Cayley table {str(path)!r}: " \
+            f"{message}\n"
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"pd": [[1, 4, 2, 6], [3, 5, 4, 1], [5, 2, 6, 3]]},
+         "crossing 0: over-edges 4,6 are not consecutive"),
+        ({"generators": 3, "relators": [[1, 2, -1, -3]]},
+         "expected deficiency one (3 generators, 1 relators)"),
+    ], ids=["pd-over-edges", "deficiency"])
+    def test_table_entry_failing_a_check_is_bad_input(
+            self, capsys, tmp_path, entry, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"knots": [{"name": "k", **entry}]}))
+        code, out, err = run(capsys, "alexander", "--table", str(path),
+                             "--all-knots")
+        assert (code, out) == (3, "")
+        assert "entry k: " + message in err
 
 
 class TestUsageErrors:

@@ -24,6 +24,7 @@ from talex.knots import (
     abelian_exponent,
     alexander_minor,
     fox_derivative,
+    fox_jacobian,
     free_reduce,
     invert_word,
     load_knot_table,
@@ -261,14 +262,39 @@ class TestAlexanderMinor:
         assert alexander_minor(unknot, prime_field(3)) == \
             LaurentPolynomial.one(prime_field(3))
 
-    @pytest.mark.parametrize("pres,dropped", [
-        (KnotPresentation(3, ((1, -2),)), None),
-        (KnotPresentation(2, ((1, 1, -2, -2),), meridional=False), None),
-        (KnotPresentation(2, ((1, 2, 1, -2, -1, -2),)), 3),
+    @pytest.mark.parametrize("pres,dropped,message", [
+        (KnotPresentation(3, ((1, -2),)), None, "deficiency one"),
+        (KnotPresentation(2, ((1, 1, -2, -2),), meridional=False), None,
+         "meridional"),
+        (KnotPresentation(2, ((1, 2, 1, -2, -1, -2),)), 3, "out of range"),
     ], ids=["deficiency", "not-meridional", "dropped-range"])
-    def test_rejects(self, pres, dropped):
-        with pytest.raises(ValueError, match="Alexander minor"):
+    def test_rejects(self, pres, dropped, message):
+        with pytest.raises(ValueError, match=message):
             alexander_minor(pres, INTEGERS, dropped)
+
+
+class TestFoxJacobian:
+    def test_rows_and_columns(self, table):
+        # one row per relator, the column of x_dropped left out
+        pres = table["8_18"]
+        m = pres.generators
+        for dropped in range(1, m + 1):
+            kept = [j for j in range(1, m + 1) if j != dropped]
+            assert fox_jacobian(pres, dropped) == [
+                [fox_derivative(r, j) for j in kept] for r in pres.relators]
+        assert fox_jacobian(pres) == fox_jacobian(pres, m)
+        assert fox_jacobian(KnotPresentation(1, ())) == []
+
+    @pytest.mark.parametrize("pres,dropped,message", [
+        (KnotPresentation(2, ((1, 1, -2, -2),), meridional=False), None,
+         "meridional"),
+        (KnotPresentation(3, ((1, -2),)), None, "deficiency one"),
+        (KnotPresentation(2, ((1, 2, 1, -2, -1, -2),)), 0, "out of range"),
+        (KnotPresentation(2, ((1, 2, 1, -2, -1, -2),)), 3, "out of range"),
+    ], ids=["not-meridional", "deficiency", "dropped-0", "dropped-m+1"])
+    def test_rejects(self, pres, dropped, message):
+        with pytest.raises(ValueError, match=message):
+            fox_jacobian(pres, dropped)
 
 
 class TestKnotTable:

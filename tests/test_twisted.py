@@ -40,6 +40,7 @@ from talex.knots import (
     KnotPresentation,
     alexander_minor,
     fox_derivative,
+    fox_jacobian,
     wirtinger_from_pd,
 )
 from talex.theorems import catalog_under_24
@@ -66,7 +67,7 @@ def block_rows(pres, f, rep, domain, dropped):
     m, dim = pres.generators, rep.dimension
     rows = []
     for r in pres.relators:
-        blocks = [evaluate_rep_phi(fox_derivative(r, j), f, rep, domain)
+        blocks = [evaluate_rep_phi([[fox_derivative(r, j)]], f, rep, domain)
                   for j in range(1, m + 1) if j != dropped]
         for i in range(dim):
             rows.append([b.entry(i, jj) for b in blocks for jj in range(dim)])
@@ -92,7 +93,7 @@ class TestEvaluateRepPhi:
         g = dihedral(3)
         rep = regular_representation(g)
         f = Homomorphism(g, (g.label("b"),))
-        m = evaluate_rep_phi({(): 1}, f, rep, INTEGERS)
+        m = evaluate_rep_phi([[{(): 1}]], f, rep, INTEGERS)
         for i in range(6):
             for j in range(6):
                 expected = LaurentPolynomial.one() if i == j else \
@@ -103,7 +104,7 @@ class TestEvaluateRepPhi:
         g = cyclic(3)
         rep = regular_representation(g)
         f = Homomorphism(g, (1,))
-        m = evaluate_rep_phi({(1,): 1}, f, rep, INTEGERS)
+        m = evaluate_rep_phi([[{(1,): 1}]], f, rep, INTEGERS)
         for i in range(3):
             for j in range(3):
                 coeff = int(rep.perms[1][j] == i)
@@ -118,7 +119,7 @@ class TestEvaluateRepPhi:
         # order k splits into |G|/k cycles, so det = +-(t^k - 1)^(|G|/k)
         rep = regular_representation(g)
         f = Homomorphism(g, (x,))
-        m = evaluate_rep_phi({(1,): 1, (): -1}, f, rep, INTEGERS)
+        m = evaluate_rep_phi([[{(1,): 1, (): -1}]], f, rep, INTEGERS)
         det = determinant(m)
         k = g.element_order(x)
         cyc = LaurentPolynomial.make(INTEGERS, 0, [-1] + [0] * (k - 1) + [1])
@@ -143,8 +144,17 @@ class TestEvaluateRepPhi:
             for r in pres.relators:
                 for j in range(1, m + 1):
                     d = fox_derivative(r, j)
-                    assert evaluate_rep_phi(d, f, rep, domain) == \
+                    assert evaluate_rep_phi([[d]], f, rep, domain) == \
                         dense_rep_phi(d, f, rep, domain), (name, r, j)
+
+    def test_ragged_matrix_rejected(self):
+        g = cyclic(3)
+        f = Homomorphism(g, (1, 1))
+        rep = regular_representation(g)
+        x = {(1,): 1}
+        for matrix in ([[x, x], [x]], [[x], [x, x]], [[x, x]], [[x], [x]]):
+            with pytest.raises(ValueError, match="square"):
+                evaluate_rep_phi(matrix, f, rep, INTEGERS)
 
     def test_group_mismatch(self, trefoil):
         # both routes refuse a representation of another group: the
@@ -324,12 +334,55 @@ class TestWadaInvariant:
         for r in trefoil.relators:
             acc = PolyMatrix(dim, dim, tuple([zero] * (dim * dim)))
             for j in range(1, trefoil.generators + 1):
-                dm = evaluate_rep_phi(fox_derivative(r, j), f, rep, INTEGERS)
-                xm = evaluate_rep_phi({(j,): 1, (): -1}, f, rep, INTEGERS)
+                dm = evaluate_rep_phi([[fox_derivative(r, j)]], f, rep,
+                                      INTEGERS)
+                xm = evaluate_rep_phi([[{(j,): 1, (): -1}]], f, rep,
+                                      INTEGERS)
                 prod = mat_mul(dm, xm)
                 acc = PolyMatrix(dim, dim, tuple(
                     a + b for a, b in zip(acc.entries, prod.entries)))
             assert all(e.is_zero for e in acc.entries)
+
+
+class TestFoxJacobian:
+    def test_alexander_minor_is_the_trivial_representation_matrix(
+            self, table):
+        # abelianizing the Jacobian is evaluating it at the trivial
+        # representation of the trivial group, for every dropped column
+        from talex.groups import trivial_group
+        g = trivial_group()
+        knots = {k: table[k] for k in KNOTS}
+        knots["4_1#4_1"] = connected_sum(table["4_1"], table["4_1"])
+        knots["8_18#8_18"] = connected_sum(table["8_18"], table["8_18"])
+        for name, pres in knots.items():
+            f = Homomorphism(g, (0,) * pres.generators)
+            for domain in (INTEGERS, prime_field(2), prime_field(5)):
+                for j in range(1, pres.generators + 1):
+                    oracle = determinant(evaluate_rep_phi(
+                        fox_jacobian(pres, j), f, trivial_representation(g),
+                        domain))
+                    assert alexander_minor(pres, domain, j) == oracle, \
+                        (name, domain, j)
+
+    @pytest.mark.parametrize("knot,g,p", [
+        ("8_18", alternating4(), 2), ("5_2", dp_semidirect_cp(7), 7)],
+        ids=["A4-8_18#8_18", "D7sC7-5_2#5_2"])
+    def test_one_pass_matches_the_block_assembly(self, table, knot, g, p):
+        # the one-pass matrix of each factor against block_rows, which
+        # evaluates one Fox derivative at a time and copies its entries
+        pres = connected_sum(table[knot], table[knot])
+        domain, rep = prime_field(p), regular_representation(g)
+        f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
+        assert len(set(f.images)) > 1
+        jacobian = fox_jacobian(pres)
+        factors = rep.factors(p)
+        for factor, _ in factors:
+            assert evaluate_rep_phi(jacobian, f, factor, domain) == \
+                PolyMatrix.from_rows(block_rows(
+                    pres, f, factor, domain, pres.generators))
+        num = wada_invariant(pres, f, rep, domain).numerator
+        assert not num.is_zero
+        assert num == split_numerator(pres, f, factors, domain)
 
 
 class TestAlexanderPolynomial:
@@ -437,7 +490,7 @@ class TestTwistedMod:
                 for rep in reps:
                     for x in g.elements():
                         oracle = determinant(evaluate_rep_phi(
-                            generator_minus_one(1), Homomorphism(g, (x,)),
+                            [[generator_minus_one(1)]], Homomorphism(g, (x,)),
                             rep, domain))
                         assert not oracle.is_zero
                         assert permutation_norm(
@@ -448,7 +501,7 @@ class TestTwistedMod:
                         res = wada_invariant(trefoil, f, regular, domain,
                                              dropped_generator=j)
                         assert res.denominator == determinant(
-                            evaluate_rep_phi(generator_minus_one(j), f,
+                            evaluate_rep_phi([[generator_minus_one(j)]], f,
                                              regular, domain))
 
 
@@ -474,7 +527,7 @@ class TestTwistedMod:
                              for k, c in enumerate(a.coeffs, a.min_exp)}
                     for x in g.elements():
                         oracle = determinant(evaluate_rep_phi(
-                            power, Homomorphism(g, (x,)), rep, domain))
+                            [[power]], Homomorphism(g, (x,)), rep, domain))
                         assert permutation_norm(a, rep.perms[x]) == oracle, \
                             (g.name, x, domain, a)
 
@@ -811,7 +864,7 @@ class TestCharacterSplit:
         f = find_meridional_surjections(table["6_1"], g,
                                         up_to_conjugacy=True)[0]
         word = {(1,): 1}
-        assert evaluate_rep_phi(word, f, chi, prime_field(7)).rows == 7
+        assert evaluate_rep_phi([[word]], f, chi, prime_field(7)).rows == 7
         for domain in (INTEGERS, prime_field(13)):
             with pytest.raises(ValueError, match="F_7"):
-                evaluate_rep_phi(word, f, chi, domain)
+                evaluate_rep_phi([[word]], f, chi, domain)
