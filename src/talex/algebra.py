@@ -18,12 +18,15 @@ loop runs on CPython's arbitrary-precision ints rather than Python lists:
 * over F_p, each value a row update forms is reduced mod p by a Barrett
   multiply on the whole packed integer and divided by the previous pivot
   t^v*g bottom up: the v low slots must be zero, and the rest is
-  multiplied by the Newton inverse of g mod a power of t.  The slot width
+  multiplied by the Newton inverse of g mod t^L, L the longest quotient
+  of the elimination step.  The slot width
   W >= 32 grows with p and the matrix so that every slot digit stays
   below 2^(W-2): no carries, at every prime.
 
 Both domains run the same elimination loop (_bareiss) and differ only in
-how a value is divided by the previous pivot.
+how a value is divided by the previous pivot.  A PolyMatrix keeps each
+entry as its coefficient cell (min_exp, coeffs), so determinant hands
+those rows to a kernel without building one polynomial object per entry.
 
 The norm prod_{z^n = 1} a(z*t) of a Laurent polynomial over the n-th roots
 of unity, which is det(a(t*P)) for an n-cycle P, needs no matrix at all:
@@ -255,14 +258,7 @@ class LaurentPolynomial(FrozenValue):
     @staticmethod
     def from_coeff_map(domain: CoefficientDomain,
                        terms: dict[int, int]) -> "LaurentPolynomial":
-        if not terms:
-            return LaurentPolynomial.zero(domain)
-        lo = min(terms)
-        hi = max(terms)
-        cs = [0] * (hi - lo + 1)
-        for k, c in terms.items():
-            cs[k - lo] += c
-        return LaurentPolynomial.make(domain, lo, cs)
+        return LaurentPolynomial(domain, *coefficient_cell(terms, domain.p))
 
     @property
     def is_zero(self) -> bool:
@@ -330,15 +326,15 @@ class LaurentPolynomial(FrozenValue):
     def __pow__(self, e: int) -> "LaurentPolynomial":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = LaurentPolynomial.one(self.domain)
-        base = self
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return LaurentPolynomial.one(self.domain) if result is None \
+            else result
 
     def evaluate(self, x: int) -> int:
         """Evaluate at an integer point (needs min_exp >= 0 over ZZ)."""
@@ -370,6 +366,27 @@ class LaurentPolynomial(FrozenValue):
         return LaurentPolynomial.make(
             domain, int(obj["minExponent"]),
             [int(c) for c in obj["coefficients"]])
+
+
+ZERO_CELL: tuple[int, tuple[int, ...]] = (0, ())
+
+
+def coefficient_cell(terms: dict[int, int], p: int | None
+                     ) -> tuple[int, tuple[int, ...]]:
+    """The canonical (min_exp, coeffs) of sum_k terms[k] * t^k, the
+    coefficients reduced mod p when p is given: the fields that
+    LaurentPolynomial.make gives, and the cell form of PolyMatrix."""
+    if p is not None:
+        terms = {k: c % p for k, c in terms.items() if c % p}
+    elif not all(terms.values()):
+        terms = {k: c for k, c in terms.items() if c}
+    if not terms:
+        return ZERO_CELL
+    lo = min(terms)
+    cs = [0] * (max(terms) - lo + 1)
+    for k, c in terms.items():
+        cs[k - lo] = c
+    return lo, tuple(cs)
 
 
 def to_text(f: LaurentPolynomial) -> str:
@@ -686,9 +703,20 @@ def equal_up_to_unit(a: RationalFunction, b: RationalFunction) -> bool:
 
 
 class PolyMatrix(FrozenValue):
-    """A rows x cols matrix of Laurent polynomials over one domain."""
+    """A rows x cols matrix of Laurent polynomials over one domain.
 
-    __slots__ = ("rows", "cols", "entries")
+    The entries are stored row by row as cells (min_exp, coeffs), in the
+    canonical form of LaurentPolynomial, zero as (0, ()), and the domain
+    once for the whole matrix, so a 0 x 0 matrix keeps its domain too.
+    Producers that have the coefficients at hand (twisted.evaluate_rep_phi,
+    knots.alexander_minor) build the cells directly with of_cells, and
+    determinant eliminates them without building one polynomial per entry;
+    entry and entries build those polynomials for other callers.
+    PolyMatrix(rows, cols, entries) and from_rows take polynomials, and
+    take the domain from the first entry, the integers when there is
+    none."""
+
+    __slots__ = ("domain", "rows", "cols", "cells")
 
     def __init__(self, rows: int, cols: int,
                  entries: tuple[LaurentPolynomial, ...]):
@@ -698,7 +726,21 @@ class PolyMatrix(FrozenValue):
             raise ValueError("entry count does not match dimensions")
         if len({e.domain for e in entries}) > 1:
             raise DomainMismatchError("matrix entries over mixed domains")
-        self._fill(rows, cols, entries)
+        self._fill(entries[0].domain if entries else INTEGERS, rows, cols,
+                   tuple((e.min_exp, e.coeffs) for e in entries))
+
+    @staticmethod
+    def of_cells(domain: CoefficientDomain, rows: int, cols: int,
+                 cells: tuple[tuple[int, tuple[int, ...]], ...]
+                 ) -> "PolyMatrix":
+        """The matrix with these cells, which the caller guarantees are
+        rows * cols canonical (min_exp, coeffs) pairs over domain."""
+        m = object.__new__(PolyMatrix)
+        m._fill(domain, rows, cols, cells)
+        return m
+
+    def __reduce__(self):
+        return PolyMatrix.of_cells, self._fields()
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[LaurentPolynomial]]) -> "PolyMatrix":
@@ -712,13 +754,12 @@ class PolyMatrix(FrozenValue):
         return PolyMatrix(r, c, tuple(flat))
 
     def entry(self, i: int, j: int) -> LaurentPolynomial:
-        return self.entries[i * self.cols + j]
+        return LaurentPolynomial(self.domain, *self.cells[i * self.cols + j])
 
     @property
-    def domain(self) -> CoefficientDomain:
-        if self.entries:
-            return self.entries[0].domain
-        return INTEGERS
+    def entries(self) -> tuple[LaurentPolynomial, ...]:
+        domain = self.domain
+        return tuple(LaurentPolynomial(domain, e, cs) for e, cs in self.cells)
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
@@ -748,8 +789,10 @@ def _bareiss(a: list[list[int]], n: int, divide) -> int:
     Step k pivots on a[k][k], swapping in a lower row when it is zero, and
     replaces a_ij by (a_ij*piv - a_ik*a_kj) / prev for i, j > k, with prev
     the previous pivot.  Only entries where row i, or row k when a_ik != 0,
-    is nonzero are formed; the others stay zero.  divide(prev, k) returns
-    the map from such a value to its exact quotient by prev."""
+    is nonzero are formed; the others stay zero.  Each step forms all its
+    values first and then divides them together: divide(prev, values)
+    returns their exact quotients by prev, in order, so a divisor may be
+    prepared for the longest of them."""
     sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -758,18 +801,21 @@ def _bareiss(a: list[list[int]], n: int, divide) -> int:
                 return 0
             a[k], a[i], sign = a[i], a[k], -sign
         row_k, piv = a[k], a[k][k]
-        quotient = divide(prev, k)
+        cells, values = [], []
         for i in range(k + 1, n):
             row_i = a[i]
             aik = row_i[k]
             for j in range(k + 1, n):
                 if row_i[j] or aik and row_k[j]:
-                    row_i[j] = quotient(row_i[j] * piv - aik * row_k[j])
+                    cells.append((row_i, j))
+                    values.append(row_i[j] * piv - aik * row_k[j])
+        for (row_i, j), q in zip(cells, divide(prev, values)):
+            row_i[j] = q
         prev = piv
     return sign * a[n - 1][n - 1]
 
 
-def _det_packed_integer(rows: list[list[list[int]]], n: int) -> list[int]:
+def _det_packed_integer(rows: list[list[Sequence[int]]], n: int) -> list[int]:
     """Fraction-free Bareiss over ZZ[t] on packed coefficient lists.
 
     Every intermediate entry is a minor of the input matrix, so its
@@ -783,7 +829,7 @@ def _det_packed_integer(rows: list[list[list[int]]], n: int) -> list[int]:
         bound_bits += max(s, 2).bit_length()
     width = 2 * bound_bits + 4
     a = [[_pack(e, width) for e in row] for row in rows]
-    det = _bareiss(a, n, lambda prev, k: lambda x: x // prev)
+    det = _bareiss(a, n, lambda prev, values: [x // prev for x in values])
     return _unpack_balanced(det, width)
 
 
@@ -836,12 +882,13 @@ class _PackedFp:
     def divisor(self, d: int, precision: int) -> tuple[int, int, int, int]:
         """(v, deg g, inverse of g mod t^precision, precision) for a
         reduced nonzero d = t^v * g with g(0) != 0; the inverse comes from
-        Newton's iteration x <- x * (2 - g x), doubling its length."""
+        Newton's iteration x <- x * (2 - g x), doubling its length, which a
+        constant g does not need."""
         w = self.width
         v = ((d & -d).bit_length() - 1) // w
         g = d >> (w * v)
         x = pow(g & ((1 << w) - 1), -1, self.p)
-        klen = 1
+        klen = 1 if g >> w else precision  # a constant is its own inverse
         while klen < precision:
             klen = min(2 * klen, precision)
             mask = (1 << (w * klen)) - 1
@@ -866,26 +913,34 @@ class _PackedFp:
         return self.reduce((f >> w * v & mask) * (inv & mask) & mask)
 
 
-def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
+def _det_packed_modp(rows: list[list[Sequence[int]]], n: int,
+                     p: int) -> list[int]:
     """Fraction-free Bareiss natively over F_p[t] on packed polynomials.
 
     Each value a row update forms is reduced mod p (_PackedFp.reduce) and
     divided by the previous pivot bottom up (_PackedFp.divexact).  The
-    entries after step k are (k+2)-minors of at most (k+2)*(max_len-1)+1
-    slots, so raw digits stay below n*max_len*(p-1)^2, and quotient and
-    Newton-inverse digits below (n*max_len+2)*(p-1)^2.  The slot width W
-    is the least W >= 32 with 2*(p-1)^2*(n*max_len+2) < 2^(W-1), which
-    puts both bounds, and p^2, under the 2^(W-2) that _PackedFp needs.
-    The coefficients come back balanced, not yet reduced."""
+    Newton inverse of the pivot is grown only to the longest quotient of
+    the step: a reduced value of L slots divided by a pivot of P slots has
+    L - P + 1.  The entries after step k are (k+2)-minors of at most
+    (k+2)*(max_len-1)+1 slots, so raw digits stay below n*max_len*(p-1)^2,
+    and quotient and Newton-inverse digits below (n*max_len+2)*(p-1)^2.
+    The slot width W is the least W >= 32 with 2*(p-1)^2*(n*max_len+2) <
+    2^(W-1), which puts both bounds, and p^2, under the 2^(W-2) that
+    _PackedFp needs.  The coefficients come back balanced, not yet
+    reduced."""
     max_len = max((len(e) for row in rows for e in row), default=1)
     width = max(32, (2 * (p - 1) ** 2 * (n * max_len + 2)).bit_length() + 1)
     helper = _PackedFp(p, width)
+    reduce = helper.reduce
 
-    def divide(prev: int, k: int):
-        if prev == 1:
-            return helper.reduce
-        divisor = helper.divisor(prev, (k + 2) * (max_len - 1) + 1)
-        return lambda x: helper.divexact(helper.reduce(x), divisor)
+    def divide(prev: int, values: list[int]) -> list[int]:
+        values = [reduce(x) for x in values]
+        if prev == 1 or not values:
+            return values
+        top = max(values).bit_length()
+        divisor = helper.divisor(
+            prev, (top - 1) // width - (prev.bit_length() - 1) // width + 1)
+        return [helper.divexact(x, divisor) for x in values]
 
     a = [[_pack(e, width) for e in row] for row in rows]
     return _unpack_balanced(_bareiss(a, n, divide), width)
@@ -894,34 +949,28 @@ def _det_packed_modp(rows: list[list[list[int]]], n: int, p: int) -> list[int]:
 def determinant(m: PolyMatrix) -> LaurentPolynomial:
     """Exact determinant by fraction-free elimination.
 
-    Powers of t are factored out of each row first, so the elimination
-    runs on genuine polynomials.  The domain alone picks the kernel: a
-    matrix over ZZ runs _det_packed_integer and one over F_p runs
-    _det_packed_modp, at every p, with a slot width sized from p and the
-    input.  The result does not depend on the width.
+    The matrix's cells go to the kernel as coefficient rows, with no
+    polynomial built per entry: each row is shifted by the least min_exp
+    among its nonzero cells, so the elimination runs on genuine
+    polynomials.  The domain alone picks the kernel: a matrix over ZZ runs
+    _det_packed_integer and one over F_p runs _det_packed_modp, at every
+    p, with a slot width sized from p and the input.  The result does not
+    depend on the width.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    dom = m.domain
+    n, dom, cells = m.rows, m.domain, m.cells
     if n == 0:
         return LaurentPolynomial.one(dom)
     shift = 0
-    rows: list[list[list[int]]] = []
-    for i in range(n):
-        entries = [m.entry(i, j) for j in range(n)]
-        nonzero = [e for e in entries if not e.is_zero]
-        if not nonzero:
+    rows: list[list[Sequence[int]]] = []
+    for start in range(0, n * n, n):
+        row = cells[start:start + n]
+        r = min((e for e, cs in row if cs), default=None)
+        if r is None:
             return LaurentPolynomial.zero(dom)
-        r = min(e.min_exp for e in nonzero)
         shift += r
-        row = []
-        for e in entries:
-            if e.is_zero:
-                row.append([])
-            else:
-                row.append([0] * (e.min_exp - r) + list(e.coeffs))
-        rows.append(row)
+        rows.append([(0,) * (e - r) + cs if cs else cs for e, cs in row])
     if dom.p is None:
         coeffs = _det_packed_integer(rows, n)
     else:

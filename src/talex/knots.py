@@ -49,7 +49,9 @@ from .algebra import (
     LaurentPolynomial,
     PolyMatrix,
     _json_ints,
+    coefficient_cell,
     determinant,
+    reduce_mod,
 )
 
 FreeWord = tuple[int, ...]
@@ -316,24 +318,27 @@ def alexander_minor(pres: KnotPresentation,
     """The Alexander minor D(t): the determinant of fox_jacobian(pres,
     dropped) abelianized by x_i -> t, over the given domain.
 
-    With no relators (the one-generator unknot) D is 1 over the domain;
-    an empty PolyMatrix would report the integers.  D(t) equals
+    Over F_p it is the integer minor reduced mod p, since a determinant
+    commutes with reducing its entries; so the fields share one integer
+    elimination per presentation and column.  With no relators (the
+    one-generator unknot) the matrix is 0 x 0 and D is 1.  D(t) equals
     Delta_K(t) up to a unit for every choice of column, and D(1) = +-1 for
     a knot.  Presentations and domains are frozen, so each minor is
     computed once per call signature and cached.
     """
-    rows = []
-    for row in fox_jacobian(pres, dropped):
-        rows.append([])
+    if domain.p is not None:
+        return reduce_mod(alexander_minor(pres, INTEGERS, dropped), domain.p)
+    cells = []
+    jacobian = fox_jacobian(pres, dropped)
+    for row in jacobian:
         for element in row:
             cell: dict[int, int] = {}
             for word, c in element.items():
                 e = abelian_exponent(word)
                 cell[e] = cell.get(e, 0) + c
-            rows[-1].append(LaurentPolynomial.from_coeff_map(domain, cell))
-    if not rows:
-        return LaurentPolynomial.one(domain)
-    return determinant(PolyMatrix.from_rows(rows))
+            cells.append(coefficient_cell(cell, None))
+    n = len(jacobian)
+    return determinant(PolyMatrix.of_cells(domain, n, n, tuple(cells)))
 
 
 class KnotTableError(ValueError):

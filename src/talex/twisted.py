@@ -94,18 +94,29 @@ no phi(d) distinct roots in F_p and the factor is kept whole; in
 particular a factor whose order p divides is never split, and the
 left side of a congruence gets no reduction by a p-subgroup.
 
-When every generator maps to one element g, as for every surjection onto
-an abelian group (meridians are conjugate), each Fox block is a Laurent
-polynomial in the one matrix t*rho(g): a term c*w of the derivative
-becomes c*(t*rho(g))^k with k the exponent sum of w.  So the block matrix
-is D(t*rho(g)) for the (m-1) x (m-1) matrix D(t) of abelianized Fox
-derivatives, and its blocks commute.  For commuting blocks the block
-determinant is det(d(t*rho(g))), where d = det D is the Alexander minor
-of knots.alexander_minor (Kovacs, Silver and Williams, Amer. Math. Monthly
+Some permutation representations sigma, whole or a factor, give one
+matrix P to every generator, sigma(f(x_i)) = P for all i: the whole one
+when every generator maps to one element g (every surjection onto an
+abelian group, meridians being conjugate), and G acting on the cosets of
+a normal subgroup with an abelian quotient, where the conjugate meridians
+have one image.  Then sigma(f(w)) = P^k for every word w, k its exponent
+sum, so a term c*w of a Fox derivative becomes c*(t*P)^k, each Fox block
+is a Laurent polynomial in the one matrix t*P, and the block matrix is
+D(t*P) for the (m-1) x (m-1) matrix D(t) of abelianized Fox derivatives;
+its blocks commute.  For commuting blocks the block determinant is
+det(d(t*P)), where d = det D is the Alexander minor of
+knots.alexander_minor (Kovacs, Silver and Williams, Amer. Math. Monthly
 106, 1999).  The identity holds over any commutative coefficient ring, and
-det(d(t*rho(g))) is the permutation norm of d over rho(g), so numerator
-and denominator share one norm and no elimination runs; the result is the
-generic route's numerator bit for bit, over the integers and every F_p.
+det(d(t*P)) is the permutation norm of d over P, so no elimination runs.
+wada_invariant applies this rule to the whole representation first, so a
+surjection onto an abelian group takes one norm, and otherwise to each
+factor of its split: for A4 split along V4, the factor of A4 acting on
+A4/V4 = C3 sends every meridian to one 3-cycle, and for Dic5 split along
+C10, the one of Dic5 acting on Dic5/C10 = C2 sends every meridian to the
+transposition.  Each such factor's determinant is the generic route's bit
+for bit, over the integers and every F_p, so the numerator is too.  Only
+permutation factors (cyclotomic 1) take this route: a cyclotomic or
+F_p-character factor would need a norm over Q(zeta_d) instead.
 """
 
 from __future__ import annotations
@@ -114,11 +125,13 @@ from collections import Counter
 
 from .algebra import (
     INTEGERS,
+    ZERO_CELL,
     CoefficientDomain,
     FrozenValue,
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
+    coefficient_cell,
     cycle_norm,
     cyclotomic_residues,
     determinant,
@@ -131,6 +144,7 @@ from .homsearch import (
     regular_equivalence_classes,
 )
 from .knots import (
+    FreeWord,
     GroupRingElement,
     KnotPresentation,
     abelian_exponent,
@@ -164,23 +178,61 @@ class TwistedAlexanderResult(FrozenValue):
         }
 
 
-def evaluate_rep_phi(matrix: list[list[GroupRingElement]],
+class FoxImage(FrozenValue):
+    """A square matrix of integral group ring elements of the free group,
+    pushed through f x phi: entries[a][b] lists each term c*w of entry
+    (a, b) as (f(w), phi(w), c), the terms of one (f(w), phi(w)) merged.
+    Each word is evaluated once here, however many representations the
+    matrix is then mapped through; a word met in several entries is
+    evaluated once."""
+
+    __slots__ = ("homomorphism", "entries")
+
+    def __init__(self, matrix: list[list[GroupRingElement]],
+                 f: Homomorphism):
+        if any(len(row) != len(matrix) for row in matrix):
+            raise ValueError("evaluate_rep_phi needs a square matrix")
+        group, images = f.group, f.images
+        evaluated: dict[FreeWord, tuple[int, int]] = {}
+        entries = []
+        for row in matrix:
+            entries.append([])
+            for element in row:
+                terms: dict[tuple[int, int], int] = {}
+                for word, c in element.items():
+                    key = evaluated.get(word)
+                    if key is None:
+                        key = evaluated[word] = (
+                            evaluate_word(group, images, word),
+                            abelian_exponent(word))
+                    terms[key] = terms.get(key, 0) + c
+                entries[-1].append(tuple(
+                    (g, e, c) for (g, e), c in terms.items() if c))
+        self._fill(f, tuple(map(tuple, entries)))
+
+
+def evaluate_rep_phi(matrix: list[list[GroupRingElement]] | FoxImage,
                      f: Homomorphism, rep: MatrixRep,
                      domain: CoefficientDomain) -> PolyMatrix:
     """(rho.f tensor phi) extended linearly and applied to every entry of a
     square n x n matrix of group ring elements, as one (n*dim) x (n*dim)
     matrix: entry (a, b) becomes the dim x dim block in rows a*dim.. and
     columns b*dim.., so rows are ordered by (row of the input, row of the
-    representation) and columns likewise.  For any block-monomial
-    representation each group ring term c*w adds c * t^phi(w) times the
-    block of x^e mod Phi_d at block (perm[j], j) of rho(f(w)), for every
-    block column j with its exponent e, or the scalar r^e mod p when rep
-    has the root (r, p).  A permutation representation has 1 x 1 blocks
-    (Phi_1 = x - 1), so a term costs O(dim) there.  The presentation checks
-    are knots.fox_jacobian's; this function only checks that the matrix is
-    square and that a factor over F_p is evaluated over its own field."""
-    if any(len(row) != len(matrix) for row in matrix):
-        raise ValueError("evaluate_rep_phi needs a square matrix")
+    representation) and columns likewise.  The matrix may also be given as
+    its FoxImage under f, which wada_invariant builds once for all the
+    factors of a representation.  For any block-monomial representation
+    each group ring term c*w adds c * t^phi(w) times the block of x^e mod
+    Phi_d at block (perm[j], j) of rho(f(w)), for every block column j
+    with its exponent e, or the scalar r^e mod p when rep has the root
+    (r, p).  A permutation representation has 1 x 1 blocks (Phi_1 =
+    x - 1), so a term costs O(dim) there.  The cells are written reduced
+    into the domain, with no polynomial built per entry.  The presentation
+    checks are knots.fox_jacobian's; this function only checks that the
+    matrix is square, that a FoxImage is f's, and that a factor over F_p is
+    evaluated over its own field."""
+    image = matrix if isinstance(matrix, FoxImage) else FoxImage(matrix, f)
+    if image.homomorphism != f:
+        raise ValueError("a FoxImage of another homomorphism")
     dim, d = rep.dimension, rep.cyclotomic
     if rep.root is None:
         residues = cyclotomic_residues(d)
@@ -189,26 +241,41 @@ def evaluate_rep_phi(matrix: list[list[GroupRingElement]],
         if p != domain.p:
             raise ValueError(f"a factor over F_{p} evaluated over {domain}")
         residues = tuple((pow(r, e, p),) for e in range(d))
-    size, width = len(residues[0]), len(matrix) * dim
-    terms: list[dict[int, int]] = [{} for _ in range(width * width)]
-    for a, row in enumerate(matrix):
+    size, width = len(residues[0]), len(image.entries) * dim
+    nonzero: dict[int, tuple[tuple[int, int], ...]] = {}
+    terms: dict[int, dict[int, int]] = {}
+    for a, row in enumerate(image.entries):
         for b, element in enumerate(row):
             origin = a * dim * width + b * dim
-            for word, c in element.items():
-                g = evaluate_word(f.group, f.images, word)
-                perm = rep.perms[g]
-                exps = rep.exponents[g] if rep.exponents else (0,) * len(perm)
-                e = abelian_exponent(word)
-                for j, (i, x) in enumerate(zip(perm, exps)):
-                    for jj in range(size):
-                        column = origin + j * size + jj
-                        for r, v in enumerate(residues[(x + jj) % d]):
-                            if v:
-                                cell = terms[(i * size + r) * width + column]
-                                cell[e] = cell.get(e, 0) + c * v
-    entries = tuple(LaurentPolynomial.from_coeff_map(domain, cell)
-                    for cell in terms)
-    return PolyMatrix(width, width, entries)
+            for g, e, c in element:
+                entries = nonzero.get(g)
+                if entries is None:  # (row * width + column, value) of rho(g)
+                    perm = rep.perms[g]
+                    exps = rep.exponents[g] if rep.exponents \
+                        else (0,) * len(perm)
+                    entries = nonzero[g] = tuple(
+                        ((i * size + r) * width + j * size + jj, v)
+                        for j, (i, x) in enumerate(zip(perm, exps))
+                        for jj in range(size)
+                        for r, v in enumerate(residues[(x + jj) % d]) if v)
+                for offset, v in entries:
+                    cell = terms.get(origin + offset)
+                    if cell is None:
+                        cell = terms[origin + offset] = {}
+                    cell[e] = cell.get(e, 0) + c * v
+    cells = [ZERO_CELL] * (width * width)
+    for key, cell in terms.items():
+        cells[key] = coefficient_cell(cell, domain.p)
+    return PolyMatrix.of_cells(domain, width, width, tuple(cells))
+
+
+def _common_map(rep: MatrixRep, f: Homomorphism):
+    """The column map of rep at every f.images[i] when rep is a
+    permutation representation and these maps all agree, else None."""
+    if rep.cyclotomic != 1:
+        return None
+    perm = rep.perms[f.images[0]]
+    return perm if all(rep.perms[g] == perm for g in f.images) else None
 
 
 def permutation_norm(a: LaurentPolynomial, perm) -> LaurentPolynomial:
@@ -244,15 +311,20 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     generator, which changes the result only by a unit.  The denominator
     det(t*rho(f(x_j)) - I) is the permutation norm of t - 1 over
     rho(f(x_j)); it is nonzero over every domain, so any choice is valid.
-    When f sends every generator to one element g, the numerator is the
-    permutation norm of the Alexander minor over rho(g) (see the module
-    docstring).  Otherwise it is the product, over the pairs (factor,
-    multiplicity) of rep.factors(domain.p), of determinant(evaluate_rep_phi(
-    J, f, factor, domain)) ** multiplicity, J = knots.fox_jacobian(pres,
-    dropped): for the regular representation
-    one factor per normalizer orbit of Galois orbits of characters of the
-    splitting subgroup H, and rep's own block matrix for any other.  Over Q
-    the regular representation is conjugate to the direct sum of its
+    The numerator is a product of factor determinants.  When rep, a
+    permutation representation, gives every f(x_i) one column map, as when
+    f sends every generator to one element, it is its own single factor;
+    otherwise the factors are the pairs (factor, multiplicity) of
+    rep.factors(domain.p): for the regular representation one factor per
+    normalizer orbit of Galois orbits of characters of the splitting
+    subgroup H, and rep itself for any other.  A permutation factor that
+    gives every f(x_i) one column map contributes the permutation norm of
+    the Alexander minor over that map (the Kovacs-Silver-Williams identity
+    of the module docstring); every other factor contributes
+    determinant(evaluate_rep_phi(J, f, factor, domain)) for the Fox
+    Jacobian J = knots.fox_jacobian(pres, dropped), pushed through f once
+    (FoxImage) for all such factors.  Each is raised to its multiplicity.
+    Over Q the regular representation is conjugate to the direct sum of its
     factors with repetition, so its block matrix is conjugate to the block
     diagonal of theirs; both sides of the determinant identity are integer
     polynomials, so it holds exactly over the integers and every F_p.
@@ -262,8 +334,9 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     numerator is again exactly the same (proofs in the module docstring).
 
     The presentation and the dropped generator are checked by
-    knots.fox_jacobian, on either route, before the denominator reads
-    f(x_dropped); this function checks only the representation.
+    knots.fox_jacobian, which the norm reaches through alexander_minor,
+    before the denominator reads f(x_dropped); this function checks only
+    the representation.
     """
     if rep.group is not f.group:
         raise ValueError("representation and homomorphism target differ")
@@ -271,15 +344,20 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
         raise ValueError("wada_invariant needs a permutation representation")
     dropped = pres.generators if dropped_generator is None \
         else dropped_generator
-    if len(set(f.images)) == 1:
-        num = permutation_norm(alexander_minor(pres, domain, dropped),
-                               rep.perms[f.images[0]])
-    else:
-        jacobian = fox_jacobian(pres, dropped)
-        num = LaurentPolynomial.one(domain)
-        for factor, multiplicity in rep.factors(domain.p):
-            num = num * determinant(evaluate_rep_phi(
-                jacobian, f, factor, domain)) ** multiplicity
+    factors = ((rep, 1),) if _common_map(rep, f) is not None \
+        else rep.factors(domain.p)
+    num = image = None
+    for factor, multiplicity in factors:
+        perm = _common_map(factor, f)
+        if perm is not None:
+            part = permutation_norm(alexander_minor(pres, domain, dropped),
+                                    perm)
+        else:
+            if image is None:
+                image = FoxImage(fox_jacobian(pres, dropped), f)
+            part = determinant(evaluate_rep_phi(image, f, factor, domain))
+        part = part ** multiplicity
+        num = part if num is None else num * part
     den = permutation_norm(LaurentPolynomial.make(domain, 0, [-1, 1]),
                            rep.perms[f.images[dropped - 1]])
 

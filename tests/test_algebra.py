@@ -470,6 +470,41 @@ class TestPackedFpKernel:
         assert len(kernel_calls) == 300  # no early return, no other route
         assert sum(v > 0 for v in seen_v) >= 75
 
+    def test_newton_inverse_is_cut_to_the_longest_quotient(self,
+                                                         monkeypatch):
+        # each pivot's inverse is grown to exactly the longest quotient
+        # its step divides out, not to the step's degree bound
+        divisor, divexact = algebra._PackedFp.divisor, \
+            algebra._PackedFp.divexact
+        longest = {}  # id of a divisor -> [its precision, longest quotient]
+        divisors = []  # kept alive, so that no id is reused
+
+        def divisor_spy(self, d, precision):
+            out = divisor(self, d, precision)
+            divisors.append(out)
+            longest[id(out)] = [precision, 0]
+            return out
+
+        def divexact_spy(self, f, div):
+            if f:
+                qlen = (f.bit_length() - 1) // self.width + 1 \
+                    - div[0] - div[1]
+                longest[id(div)][1] = max(longest[id(div)][1], qlen)
+            return divexact(self, f, div)
+
+        monkeypatch.setattr(algebra._PackedFp, "divisor", divisor_spy)
+        monkeypatch.setattr(algebra._PackedFp, "divexact", divexact_spy)
+        rng = random.Random(4242)
+        for case in range(40):
+            p = (2, 3, 7, 65537)[case % 4]
+            rows = sparse_fp_matrix(rng, rng.randrange(5, 12), p, case % 3)
+            field = prime_field(p)
+            determinant(PolyMatrix.from_rows(
+                [[LaurentPolynomial.make(field, 0, e) for e in row]
+                 for row in rows]))
+        assert len(longest) > 100
+        assert all(precision == qlen for precision, qlen in longest.values())
+
     def test_bottom_up_division(self):
         helper = algebra._PackedFp(5, 32)
         w = helper.width

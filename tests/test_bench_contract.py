@@ -10,8 +10,12 @@ class of surjections, every F_p determinant of verify-modp must run the
 packed F_p kernel once, with no early return, and have at most 8 rows
 (one factor of the regular representation's split along an abelian
 subgroup, not its whole block matrix, with every factor whose characters
-take values in F_p split into those characters), the 24 of them
-eliminating sum n^3 = 6298 rows cubed, and verify-exact must compute no determinant larger than an Alexander minor:
+take values in F_p split into those characters), the 17 of them
+eliminating sum n^3 = 5202 rows cubed: a permutation factor that sends
+every meridian to one permutation takes the permutation norm of the
+Alexander minor instead, which removes the five 6-row determinants of
+A4 on 8_18 and two 2-row ones of Dic5.  verify-exact must compute no
+determinant larger than an Alexander minor:
 its numerators and orbit products are cycle norms, not eliminations.  Each
 verify-exact check normalises three rational functions, the invariant, the
 right-hand side and the Alexander polynomial, and compares the normal
@@ -76,13 +80,16 @@ def test_verify_modp_stays_on_the_fp_kernel(monkeypatch, capsys):
     assert runs == [1] * len(runs)
     # the regular representation is split along an abelian subgroup, so no
     # elimination sees the full 24-row block matrix of A4 on 8_18; A4
-    # splits along V4 into 3 + 3^3 (one determinant per normalizer orbit
-    # of characters), ten 6-row determinants where a cyclic split needs
-    # ten of 12 rows; G(3,7|2) mod 7 on 6_1 splits its 14-row factor of
-    # order 3 into two 7-row ones, since Phi_3 = (x - 2)(x - 4) over F_7
+    # splits along V4 into 3 + 3^3 (one factor per normalizer orbit of
+    # characters).  The 3 is A4 acting on A4/V4 = C3, and Dic5's trivial
+    # character of C10 gives Dic5 acting on Dic5/C10 = C2: both send every
+    # meridian to one permutation and take the Alexander-minor norm, so A4
+    # runs five 6-row determinants, one per class; G(3,7|2) mod 7 on 6_1
+    # splits its 14-row factor of order 3 into two 7-row ones, since
+    # Phi_3 = (x - 2)(x - 4) over F_7
     rows = [n for p, _, n in calls if p is not None]
     assert max(rows) <= 8
-    assert (len(rows), sum(n ** 3 for n in rows)) == (24, 6298)
+    assert (len(rows), sum(n ** 3 for n in rows)) == (17, 5202)
 
 
 def test_verify_exact_runs_only_alexander_minors(monkeypatch, capsys):

@@ -45,6 +45,7 @@ from talex.knots import (
 )
 from talex.theorems import catalog_under_24
 from talex.twisted import (
+    FoxImage,
     alexander_polynomial,
     evaluate_rep_phi,
     invariants,
@@ -155,6 +156,30 @@ class TestEvaluateRepPhi:
         for matrix in ([[x, x], [x]], [[x], [x, x]], [[x, x]], [[x], [x]]):
             with pytest.raises(ValueError, match="square"):
                 evaluate_rep_phi(matrix, f, rep, INTEGERS)
+
+    def test_empty_matrix_keeps_its_domain(self):
+        # a 0 x 0 matrix has no entry to read a domain from; its
+        # determinant is still the one of the domain it was evaluated over
+        g = dihedral(3)
+        f, rep = Homomorphism(g, (3,)), regular_representation(g)
+        for domain in (INTEGERS, prime_field(5)):
+            m = evaluate_rep_phi([], f, rep, domain)
+            assert (m.rows, m.cols, m.domain) == (0, 0, domain)
+            assert determinant(m) == LaurentPolynomial.one(domain)
+            assert determinant(m).domain == domain
+
+    def test_fox_image_is_evaluated_like_its_matrix(self, trefoil):
+        # the image under f x phi, built once, maps through every factor
+        # as the matrix itself does, and only under its own f
+        g = dihedral(3)
+        f, other = find_meridional_surjections(trefoil, g)[:2]
+        jacobian, domain = fox_jacobian(trefoil), prime_field(3)
+        image = FoxImage(jacobian, f)
+        for factor, _ in regular_representation(g).factors(3):
+            assert evaluate_rep_phi(image, f, factor, domain) == \
+                evaluate_rep_phi(jacobian, f, factor, domain)
+        with pytest.raises(ValueError, match="another homomorphism"):
+            evaluate_rep_phi(image, other, factor, domain)
 
     def test_group_mismatch(self, trefoil):
         # both routes refuse a representation of another group: the
@@ -868,3 +893,103 @@ class TestCharacterSplit:
         for domain in (INTEGERS, prime_field(13)):
             with pytest.raises(ValueError, match="F_7"):
                 evaluate_rep_phi([[word]], f, chi, domain)
+
+
+FACTOR_CASES = [(g, p) for _, g, p in catalog_under_24()] \
+    + [(dp_semidirect_cp(5), 5)]
+
+
+@pytest.fixture(scope="module")
+def norm_knots(table):
+    """(knot, presentation, classes): the bundled knots and 4_1 # 4_1,
+    which maps onto D5sC5, on every automorphism class, and 8_18 # 8_18 on
+    its first class, since it has up to 130 classes."""
+    return [(k, table[k], None) for k in KNOTS] + [
+        ("4_1#4_1", connected_sum(table["4_1"], table["4_1"]), None),
+        ("8_18#8_18", connected_sum(table["8_18"], table["8_18"]), 1)]
+
+
+class TestFactorNorms:
+    @pytest.mark.parametrize("g,p", FACTOR_CASES,
+                             ids=[g.name for g, _ in FACTOR_CASES])
+    def test_norms_and_product_match_the_eliminations(self, norm_knots, g,
+                                                      p):
+        # over ZZ and the case's F_p: a permutation factor whose images
+        # coincide must give the norm of the Alexander minor over that
+        # map, against the elimination of its block matrix; wada_invariant
+        # on the unsplit regular representation must give the product of
+        # the factors' eliminations when every factor has at most 20 rows
+        # (the integer eliminations of larger ones take seconds)
+        rep, classes, checked = regular_representation(g), 0, 0
+        for domain in dict.fromkeys((INTEGERS, CoefficientDomain(p))):
+            for knot, pres, limit in norm_knots:
+                jacobian = fox_jacobian(pres)
+                minor = alexander_minor(pres, domain, pres.generators)
+                homs = find_meridional_surjections(pres, g,
+                                                   up_to_conjugacy=True)
+                for cls in regular_equivalence_classes(homs)[:limit]:
+                    f, product = cls[0], LaurentPolynomial.one(domain)
+                    normed = 0
+                    for factor, multiplicity in rep.factors(domain.p):
+                        maps = {factor.perms[x] for x in f.images}
+                        normable = factor.cyclotomic == 1 and len(maps) == 1
+                        if not normable and \
+                                len(jacobian) * factor.dimension > 20:
+                            product = None
+                            continue
+                        oracle = determinant(evaluate_rep_phi(
+                            jacobian, f, factor, domain))
+                        if normable:
+                            assert permutation_norm(minor, maps.pop()) \
+                                == oracle, (knot, domain, f.images)
+                            normed += 1
+                        if product is not None:
+                            product = product * oracle ** multiplicity
+                    if product is not None:
+                        assert product == wada_invariant(
+                            pres, f, rep, domain).numerator, \
+                            (knot, domain, f.images)
+                    classes += 1
+                    checked += bool(normed or product is not None)
+        # the dihedral and metacyclic groups split along a subgroup whose
+        # cosets the meridians permute in several ways, so none of their
+        # factors is normed, but each of their classes checks the product
+        assert checked == classes
+
+    def test_a4_on_8_18_mod_2_runs_five_determinants(self, table,
+                                                     monkeypatch):
+        # the factor of A4 on A4/V4 = C3 sends every meridian to one
+        # 3-cycle, so of its two factors only the 6-row one of the
+        # nontrivial characters of V4 is eliminated, once per class
+        import talex.twisted
+        pres, g, domain = table["8_18"], alternating4(), prime_field(2)
+        homs = find_meridional_surjections(pres, g, up_to_conjugacy=True)
+        calls = []
+
+        def spy(m):
+            calls.append((m.domain, m.rows))
+            return determinant(m)
+
+        monkeypatch.setattr(talex.twisted, "determinant", spy)
+        invariants(pres, g, homs, domain)
+        assert len(regular_equivalence_classes(homs)) == 5
+        assert calls == [(domain, 6)] * 5
+
+    def test_each_word_is_evaluated_once_per_surjection(self, table,
+                                                        monkeypatch):
+        # Dic5 mod 5 on 7_4 eliminates three factors; each distinct word
+        # of the Fox Jacobian is evaluated once for all of them
+        import talex.twisted
+        pres, g = table["7_4"], dicyclic(5)
+        f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
+        jacobian = fox_jacobian(pres)
+        words = {w for row in jacobian for element in row for w in element}
+        real, evaluated = talex.twisted.evaluate_word, []
+
+        def spy(group, images, word):
+            evaluated.append(word)
+            return real(group, images, word)
+
+        monkeypatch.setattr(talex.twisted, "evaluate_word", spy)
+        wada_invariant(pres, f, regular_representation(g), prime_field(5))
+        assert sorted(evaluated) == sorted(words)

@@ -47,7 +47,7 @@ VALUES = {
     CoefficientDomain: (("p",), lambda: CoefficientDomain(5)),
     LaurentPolynomial: (("domain", "min_exp", "coeffs"), f),
     RationalFunction: (("numerator", "denominator"), r),
-    PolyMatrix: (("rows", "cols", "entries"),
+    PolyMatrix: (("domain", "rows", "cols", "cells"),
                  lambda: PolyMatrix(1, 2, (f(), f().shift(1)))),
     ConjugacyClass: (("representative", "members", "generates"),
                      lambda: ConjugacyClass(1, frozenset({1}), True)),
