@@ -935,9 +935,9 @@ def _det_packed_modp(rows: list[list[Sequence[int]]], n: int,
 
     def divide(prev: int, values: list[int]) -> list[int]:
         values = [reduce(x) for x in values]
-        if prev == 1 or not values:
+        top = max(values, default=0).bit_length()
+        if prev == 1 or not top:
             return values
-        top = max(values).bit_length()
         divisor = helper.divisor(
             prev, (top - 1) // width - (prev.bit_length() - 1) // width + 1)
         return [helper.divexact(x, divisor) for x in values]

@@ -182,9 +182,8 @@ class FoxImage(FrozenValue):
     """A square matrix of integral group ring elements of the free group,
     pushed through f x phi: entries[a][b] lists each term c*w of entry
     (a, b) as (f(w), phi(w), c), the terms of one (f(w), phi(w)) merged.
-    Each word is evaluated once here, however many representations the
-    matrix is then mapped through; a word met in several entries is
-    evaluated once."""
+    Each distinct word is evaluated once here, however many
+    representations the matrix is then mapped through."""
 
     __slots__ = ("homomorphism", "entries")
 
