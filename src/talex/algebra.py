@@ -24,9 +24,10 @@ loop runs on CPython's arbitrary-precision ints rather than Python lists:
   below 2^(W-2): no carries, at every prime.
 
 Both domains run the same elimination loop (_bareiss) and differ only in
-how a value is divided by the previous pivot.  A PolyMatrix keeps each
-entry as its coefficient cell (min_exp, coeffs), so determinant hands
-those rows to a kernel without building one polynomial object per entry.
+how a value is divided by the previous pivot.  A PolyMatrix is built from,
+and keeps, one coefficient cell (min_exp, coeffs) per entry (the cell
+coefficient_cell makes), so determinant hands those rows to a kernel
+without building one polynomial object per entry.
 
 The norm prod_{z^n = 1} a(z*t) of a Laurent polynomial over the n-th roots
 of unity, which is det(a(t*P)) for an n-cycle P, needs no matrix at all:
@@ -165,10 +166,6 @@ class CoefficientDomain(FrozenValue):
     def __hash__(self):
         return hash((self.p,))
 
-    @property
-    def is_field(self) -> bool:
-        return self.p is not None
-
     def reduce(self, c: int) -> int:
         return c % self.p if self.p is not None else c
 
@@ -250,15 +247,6 @@ class LaurentPolynomial(FrozenValue):
     @staticmethod
     def one(domain: CoefficientDomain = INTEGERS) -> "LaurentPolynomial":
         return LaurentPolynomial(domain, 0, (domain.reduce(1),))
-
-    @staticmethod
-    def t_power(k: int, domain: CoefficientDomain = INTEGERS) -> "LaurentPolynomial":
-        return LaurentPolynomial(domain, k, (domain.reduce(1),))
-
-    @staticmethod
-    def from_coeff_map(domain: CoefficientDomain,
-                       terms: dict[int, int]) -> "LaurentPolynomial":
-        return LaurentPolynomial(domain, *coefficient_cell(terms, domain.p))
 
     @property
     def is_zero(self) -> bool:
@@ -708,39 +696,24 @@ class PolyMatrix(FrozenValue):
     The entries are stored row by row as cells (min_exp, coeffs), in the
     canonical form of LaurentPolynomial, zero as (0, ()), and the domain
     once for the whole matrix, so a 0 x 0 matrix keeps its domain too.
+    PolyMatrix(domain, rows, cols, cells) is the one constructor: the
+    caller guarantees that the cells are canonical and over the domain,
+    and the constructor checks only the dimensions and the cell count.
     Producers that have the coefficients at hand (twisted.evaluate_rep_phi,
-    knots.alexander_minor) build the cells directly with of_cells, and
-    determinant eliminates them without building one polynomial per entry;
-    entry and entries build those polynomials for other callers.
-    PolyMatrix(rows, cols, entries) and from_rows take polynomials, and
-    take the domain from the first entry, the integers when there is
-    none."""
+    knots.alexander_minor) build the cells directly, and determinant
+    eliminates them without building one polynomial per entry.  from_rows
+    builds the matrix from rows of polynomials, taking the domain from the
+    first entry, the integers when there is none; entry reads one back."""
 
     __slots__ = ("domain", "rows", "cols", "cells")
 
-    def __init__(self, rows: int, cols: int,
-                 entries: tuple[LaurentPolynomial, ...]):
+    def __init__(self, domain: CoefficientDomain, rows: int, cols: int,
+                 cells: tuple[tuple[int, tuple[int, ...]], ...]):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(entries) != rows * cols:
+        if len(cells) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        if len({e.domain for e in entries}) > 1:
-            raise DomainMismatchError("matrix entries over mixed domains")
-        self._fill(entries[0].domain if entries else INTEGERS, rows, cols,
-                   tuple((e.min_exp, e.coeffs) for e in entries))
-
-    @staticmethod
-    def of_cells(domain: CoefficientDomain, rows: int, cols: int,
-                 cells: tuple[tuple[int, tuple[int, ...]], ...]
-                 ) -> "PolyMatrix":
-        """The matrix with these cells, which the caller guarantees are
-        rows * cols canonical (min_exp, coeffs) pairs over domain."""
-        m = object.__new__(PolyMatrix)
-        m._fill(domain, rows, cols, cells)
-        return m
-
-    def __reduce__(self):
-        return PolyMatrix.of_cells, self._fields()
+        self._fill(domain, rows, cols, cells)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[LaurentPolynomial]]) -> "PolyMatrix":
@@ -751,15 +724,13 @@ class PolyMatrix(FrozenValue):
             if len(row) != c:
                 raise ValueError("ragged matrix rows")
             flat.extend(row)
-        return PolyMatrix(r, c, tuple(flat))
+        if len({e.domain for e in flat}) > 1:
+            raise DomainMismatchError("matrix entries over mixed domains")
+        return PolyMatrix(flat[0].domain if flat else INTEGERS, r, c,
+                          tuple((e.min_exp, e.coeffs) for e in flat))
 
     def entry(self, i: int, j: int) -> LaurentPolynomial:
         return LaurentPolynomial(self.domain, *self.cells[i * self.cols + j])
-
-    @property
-    def entries(self) -> tuple[LaurentPolynomial, ...]:
-        domain = self.domain
-        return tuple(LaurentPolynomial(domain, e, cs) for e, cs in self.cells)
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:

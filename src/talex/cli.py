@@ -98,8 +98,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return group_from_cayley_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, GroupValidationError,
-                KeyError) as exc:
+        except (OSError, json.JSONDecodeError, GroupValidationError) as exc:
             raise CliError(f"cannot load Cayley table {path!r}: {exc}")
     try:
         return _catalog_group(spec)

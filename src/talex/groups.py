@@ -261,8 +261,8 @@ class FiniteGroup:
                                    for _, u, v in ys) for ys in images)
                 size = 1 if splits else _totient(d)
                 root = (_least_root(d, p), p) if splits else None
-                split.append((MatrixRep(self, size * len(reps), perms, exps,
-                                        d, root), len(orbit) // size))
+                split.append((MatrixRep(self, perms, exps, d, root),
+                              len(orbit) // size))
         return tuple(split)
 
     def _splitting_gens(self) -> tuple[int, int]:
@@ -500,6 +500,9 @@ def group_from_cayley_json(obj: dict) -> FiniteGroup:
     axioms.  A label or table entry that is not a JSON integer is rejected,
     not coerced: 1.5 and true are not elements."""
     try:
+        for field in ("table", "order"):
+            if field not in obj:
+                raise GroupValidationError(f"Cayley table has no {field!r}")
         table = obj["table"]
         if len(table) != obj["order"]:
             raise GroupValidationError(
@@ -537,16 +540,23 @@ class MatrixRep(FrozenValue):
 
     Without exponents, d is 1 and every block is the 1 x 1 identity: a
     permutation representation, whose image of g has a 1 in row
-    perms[g][j] of column j and zeros elsewhere."""
+    perms[g][j] of column j and zeros elsewhere.
 
-    __slots__ = ("group", "dimension", "perms", "exponents", "cyclotomic",
-                 "root")
+    The dimension is not stored: it is the number of blocks times the
+    block size, 1 with a root and phi(d) without."""
 
-    def __init__(self, group: FiniteGroup, dimension: int,
+    __slots__ = ("group", "perms", "exponents", "cyclotomic", "root")
+
+    def __init__(self, group: FiniteGroup,
                  perms: tuple[tuple[int, ...], ...],
                  exponents: tuple[tuple[int, ...], ...] | None = None,
                  cyclotomic: int = 1, root: tuple[int, int] | None = None):
-        self._fill(group, dimension, perms, exponents, cyclotomic, root)
+        self._fill(group, perms, exponents, cyclotomic, root)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.perms[0]) * (
+            1 if self.root is not None else _totient(self.cyclotomic))
 
     def factors(self, p: int | None = None
                 ) -> tuple[tuple["MatrixRep", int], ...]:
@@ -564,18 +574,14 @@ class MatrixRep(FrozenValue):
         exps = self.exponents or tuple((0,) * len(p) for p in perms)
         if len(perms) != group.order or len(exps) != group.order:
             raise GroupValidationError("one image per element required")
-        if self.root is None:
-            size = _totient(d)
-        else:
+        if self.root is not None:
             r, p = self.root
             if not _is_prime(p) or _order_dividing(r, d, p) != d:
                 raise GroupValidationError(
                     f"root {r} does not have order {d} mod {p}")
-            size = 1
-        blocks = tuple(range(self.dimension // size))
+        blocks = tuple(range(len(perms[0])))
         for g, perm in enumerate(perms):
-            if len(perm) * size != self.dimension \
-                    or set(perm) != set(blocks) or len(exps[g]) != len(perm):
+            if tuple(sorted(perm)) != blocks or len(exps[g]) != len(perm):
                 raise GroupValidationError(
                     f"image of {g} is not a bijection of the "
                     f"{len(blocks)} blocks")
@@ -610,4 +616,4 @@ def regular_representation(group: FiniteGroup) -> MatrixRep:
     and x, reads (g*h)*x = g*(h*x): the triples of Light's test in
     FiniteGroup._validate, on the same table and the same generators.
     """
-    return MatrixRep(group, group.order, group.cayley)
+    return MatrixRep(group, group.cayley)

@@ -57,6 +57,9 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
                                 budget: int = DEFAULT_BUDGET
                                 ) -> list[Homomorphism]:
     """All surjections sending every generator into one conjugacy class.
+    Every KnotPresentation is meridional: its generators are meridians,
+    conjugate in the knot group, so every homomorphism sends them into one
+    class and these are all the surjections of the knot group.
 
     Output is deterministic: homomorphisms sorted by their image tuples,
     with up_to_conjugacy the least member of each simultaneous-conjugation
@@ -76,8 +79,6 @@ def find_meridional_surjections(pres: KnotPresentation, group: FiniteGroup,
     per member of C tried at x_2..x_m.  Raises BudgetExceededError rather
     than silently truncating.
     """
-    if not pres.meridional:
-        raise ValueError("surjection search needs a meridional presentation")
     m = pres.generators
     e = group.identity
 

@@ -2,12 +2,13 @@
 Jacobian, the Alexander minor, and Wirtinger presentations read off planar
 diagram (PD) codes.
 
-fox_jacobian is the one function that takes the Fox derivatives of a
-presentation's relators, and it checks what every use of them needs: a
-meridional presentation of deficiency one and a dropped generator in
-range.  The Alexander minor is the determinant of the Jacobian
-abelianized, and twisted.wada_invariant evaluates the same Jacobian at a
-representation.
+Every KnotPresentation is meridional: its constructor rejects a relator
+whose exponent sum is not zero.  fox_jacobian is the one function that
+takes the Fox derivatives of a presentation's relators, and it checks what
+every use of them needs beyond that: deficiency one and a dropped
+generator in range.  The Alexander minor is the determinant of the
+Jacobian abelianized, and twisted.wada_invariant evaluates the same
+Jacobian at a representation.
 
 Free words are tuples of nonzero ints: letter +j is the generator x_j,
 letter -j its inverse (j is 1-based).  Elements of the integral group ring
@@ -143,22 +144,23 @@ class PDCode(FrozenValue):
 
 
 class KnotPresentation(FrozenValue):
-    """A deficiency-one group presentation; when meridional, every
-    generator is a meridian of the knot (so sending each one to t gives a
-    well defined abelianization)."""
+    """A meridional group presentation: every generator is a meridian of
+    the knot, so every relator has exponent sum zero and sending each
+    generator to t gives a well defined abelianization.  The constructor
+    checks the letters and that balance; fox_jacobian checks the
+    deficiency one that Wada's invariant needs."""
 
-    __slots__ = ("generators", "relators", "meridional")
+    __slots__ = ("generators", "relators")
 
-    def __init__(self, generators: int, relators: tuple[FreeWord, ...],
-                 meridional: bool = True):
+    def __init__(self, generators: int, relators: tuple[FreeWord, ...]):
         for r in relators:
             for letter in r:
                 if letter == 0 or abs(letter) > generators:
                     raise ValueError(f"letter {letter} out of range")
-            if meridional and abelian_exponent(r) != 0:
+            if abelian_exponent(r) != 0:
                 raise ValueError(
                     "meridional presentation with unbalanced relator")
-        self._fill(generators, relators, meridional)
+        self._fill(generators, relators)
 
 
 def wirtinger_from_pd(pd: PDCode) -> KnotPresentation:
@@ -282,8 +284,7 @@ def simplify_presentation(pres: KnotPresentation) -> KnotPresentation:
         generators=len(alive),
         relators=tuple(tuple(renumber[letter] if letter > 0
                              else -renumber[-letter] for letter in r)
-                       for r in relators),
-        meridional=pres.meridional)
+                       for r in relators))
 
 
 def fox_jacobian(pres: KnotPresentation,
@@ -293,9 +294,10 @@ def fox_jacobian(pres: KnotPresentation,
     (x_m unless dropped names another generator).
 
     This is the one place that checks what Wada's invariant and the
-    Alexander minor need of a presentation: meridional, of deficiency one,
-    and a dropped generator in 1..m.  A one-generator presentation has no
-    relators, so its Jacobian has no rows.  The result is not cached: its
+    Alexander minor need of a presentation beyond the balanced relators
+    that KnotPresentation checks: deficiency one, and a dropped generator
+    in 1..m.  A one-generator presentation has no relators, so its
+    Jacobian has no rows.  The result is not cached: its
     entries are mutable dicts that callers may hold.
     """
     m = pres.generators
@@ -303,8 +305,6 @@ def fox_jacobian(pres: KnotPresentation,
     if len(pres.relators) != m - 1:
         raise ValueError(f"need deficiency one: {m} generators, "
                          f"{len(pres.relators)} relators")
-    if not pres.meridional:
-        raise ValueError("the Fox Jacobian needs a meridional presentation")
     if not 1 <= dropped <= m:
         raise ValueError(f"dropped generator {dropped} out of range")
     return [[fox_derivative(r, j) for j in range(1, m + 1) if j != dropped]
@@ -338,7 +338,7 @@ def alexander_minor(pres: KnotPresentation,
                 cell[e] = cell.get(e, 0) + c
             cells.append(coefficient_cell(cell, None))
     n = len(jacobian)
-    return determinant(PolyMatrix.of_cells(domain, n, n, tuple(cells)))
+    return determinant(PolyMatrix(domain, n, n, tuple(cells)))
 
 
 class KnotTableError(ValueError):
@@ -397,6 +397,9 @@ def _parse_knot_table(text) -> tuple[tuple[str, KnotPresentation], ...]:
             if "pd" in entry:
                 pres = wirtinger_from_pd(PDCode.parse(entry["pd"]))
             elif "relators" in entry:
+                if "generators" not in entry:
+                    raise KnotTableError(
+                        f"entry {name}: has relators but no 'generators'")
                 m, = _json_ints([entry["generators"]], "generator count")
                 pres = KnotPresentation(
                     generators=m,

@@ -35,9 +35,12 @@ keys each class by a Cayley graph and proves that the key decides it.
 representation itself, evaluates one member per automorphism class, and
 hands every surjection its class's result.
 
-evaluate_rep_phi maps all of J to one matrix in one pass: its rows are
-ordered by (relator, representation row) and its columns by (kept
-generator ascending, representation column).
+fox_image pushes all of J through f x phi once per surjection, each
+distinct word evaluated once, into a table of terms (f(w), phi(w), c);
+that table is evaluate_rep_phi's only input, and it maps it to one matrix
+per factor in one pass: its rows are ordered by (relator, representation
+row) and its columns by (kept generator ascending, representation
+column).
 
 The numerator is multiplicative over a splitting of the representation, and
 the regular representation splits along any abelian subgroup H = <a> x <b>.
@@ -107,7 +110,9 @@ its blocks commute.  For commuting blocks the block determinant is
 det(d(t*P)), where d = det D is the Alexander minor of
 knots.alexander_minor (Kovacs, Silver and Williams, Amer. Math. Monthly
 106, 1999).  The identity holds over any commutative coefficient ring, and
-det(d(t*P)) is the permutation norm of d over P, so no elimination runs.
+det(d(t*P)) is the permutation norm of d over P, so no elimination runs,
+and the factor never reaches fox_image or evaluate_rep_phi: when every
+factor takes a norm, no Fox image is built at all.
 wada_invariant applies this rule to the whole representation first, so a
 surjection onto an abelian group takes one norm, and otherwise to each
 factor of its split: for A4 split along V4, the factor of A4 acting on
@@ -178,60 +183,55 @@ class TwistedAlexanderResult(FrozenValue):
         }
 
 
-class FoxImage(FrozenValue):
+FoxTerms = tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
+
+
+def fox_image(matrix: list[list[GroupRingElement]],
+              f: Homomorphism) -> FoxTerms:
     """A square matrix of integral group ring elements of the free group,
-    pushed through f x phi: entries[a][b] lists each term c*w of entry
+    pushed through f x phi: entry [a][b] lists each term c*w of entry
     (a, b) as (f(w), phi(w), c), the terms of one (f(w), phi(w)) merged.
     Each distinct word is evaluated once here, however many
-    representations the matrix is then mapped through."""
-
-    __slots__ = ("homomorphism", "entries")
-
-    def __init__(self, matrix: list[list[GroupRingElement]],
-                 f: Homomorphism):
-        if any(len(row) != len(matrix) for row in matrix):
-            raise ValueError("evaluate_rep_phi needs a square matrix")
-        group, images = f.group, f.images
-        evaluated: dict[FreeWord, tuple[int, int]] = {}
-        entries = []
-        for row in matrix:
-            entries.append([])
-            for element in row:
-                terms: dict[tuple[int, int], int] = {}
-                for word, c in element.items():
-                    key = evaluated.get(word)
-                    if key is None:
-                        key = evaluated[word] = (
-                            evaluate_word(group, images, word),
-                            abelian_exponent(word))
-                    terms[key] = terms.get(key, 0) + c
-                entries[-1].append(tuple(
-                    (g, e, c) for (g, e), c in terms.items() if c))
-        self._fill(f, tuple(map(tuple, entries)))
+    representations the table is then mapped through."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("fox_image needs a square matrix")
+    group, images = f.group, f.images
+    evaluated: dict[FreeWord, tuple[int, int]] = {}
+    entries = []
+    for row in matrix:
+        entries.append([])
+        for element in row:
+            terms: dict[tuple[int, int], int] = {}
+            for word, c in element.items():
+                key = evaluated.get(word)
+                if key is None:
+                    key = evaluated[word] = (
+                        evaluate_word(group, images, word),
+                        abelian_exponent(word))
+                terms[key] = terms.get(key, 0) + c
+            entries[-1].append(tuple(
+                (g, e, c) for (g, e), c in terms.items() if c))
+    return tuple(map(tuple, entries))
 
 
-def evaluate_rep_phi(matrix: list[list[GroupRingElement]] | FoxImage,
-                     f: Homomorphism, rep: MatrixRep,
+def evaluate_rep_phi(image: FoxTerms, rep: MatrixRep,
                      domain: CoefficientDomain) -> PolyMatrix:
     """(rho.f tensor phi) extended linearly and applied to every entry of a
-    square n x n matrix of group ring elements, as one (n*dim) x (n*dim)
-    matrix: entry (a, b) becomes the dim x dim block in rows a*dim.. and
-    columns b*dim.., so rows are ordered by (row of the input, row of the
-    representation) and columns likewise.  The matrix may also be given as
-    its FoxImage under f, which wada_invariant builds once for all the
-    factors of a representation.  For any block-monomial representation
-    each group ring term c*w adds c * t^phi(w) times the block of x^e mod
-    Phi_d at block (perm[j], j) of rho(f(w)), for every block column j
-    with its exponent e, or the scalar r^e mod p when rep has the root
-    (r, p).  A permutation representation has 1 x 1 blocks (Phi_1 =
-    x - 1), so a term costs O(dim) there.  The cells are written reduced
-    into the domain, with no polynomial built per entry.  The presentation
-    checks are knots.fox_jacobian's; this function only checks that the
-    matrix is square, that a FoxImage is f's, and that a factor over F_p is
-    evaluated over its own field."""
-    image = matrix if isinstance(matrix, FoxImage) else FoxImage(matrix, f)
-    if image.homomorphism != f:
-        raise ValueError("a FoxImage of another homomorphism")
+    square n x n matrix of group ring elements, given as its fox_image
+    under f, as one (n*dim) x (n*dim) matrix: entry (a, b) becomes the
+    dim x dim block in rows a*dim.. and columns b*dim.., so rows are
+    ordered by (row of the input, row of the representation) and columns
+    likewise.  wada_invariant builds the image once for all the factors
+    of a representation.  For any block-monomial representation each term
+    (f(w), phi(w), c) adds c * t^phi(w) times the block of x^e mod Phi_d
+    at block (perm[j], j) of rho(f(w)), for every block column j with its
+    exponent e, or the scalar r^e mod p when rep has the root (r, p).  A
+    permutation representation has 1 x 1 blocks (Phi_1 = x - 1), so a
+    term costs O(dim) there.  The cells are written reduced into the
+    domain, with no polynomial built per entry.  The presentation checks
+    are knots.fox_jacobian's, the square shape fox_image's, and the
+    check that rep and f share a group wada_invariant's; this function
+    only checks that a factor over F_p is evaluated over its own field."""
     dim, d = rep.dimension, rep.cyclotomic
     if rep.root is None:
         residues = cyclotomic_residues(d)
@@ -240,10 +240,10 @@ def evaluate_rep_phi(matrix: list[list[GroupRingElement]] | FoxImage,
         if p != domain.p:
             raise ValueError(f"a factor over F_{p} evaluated over {domain}")
         residues = tuple((pow(r, e, p),) for e in range(d))
-    size, width = len(residues[0]), len(image.entries) * dim
+    size, width = len(residues[0]), len(image) * dim
     nonzero: dict[int, tuple[tuple[int, int], ...]] = {}
     terms: dict[int, dict[int, int]] = {}
-    for a, row in enumerate(image.entries):
+    for a, row in enumerate(image):
         for b, element in enumerate(row):
             origin = a * dim * width + b * dim
             for g, e, c in element:
@@ -265,7 +265,7 @@ def evaluate_rep_phi(matrix: list[list[GroupRingElement]] | FoxImage,
     cells = [ZERO_CELL] * (width * width)
     for key, cell in terms.items():
         cells[key] = coefficient_cell(cell, domain.p)
-    return PolyMatrix.of_cells(domain, width, width, tuple(cells))
+    return PolyMatrix(domain, width, width, tuple(cells))
 
 
 def _common_map(rep: MatrixRep, f: Homomorphism):
@@ -320,9 +320,9 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     gives every f(x_i) one column map contributes the permutation norm of
     the Alexander minor over that map (the Kovacs-Silver-Williams identity
     of the module docstring); every other factor contributes
-    determinant(evaluate_rep_phi(J, f, factor, domain)) for the Fox
-    Jacobian J = knots.fox_jacobian(pres, dropped), pushed through f once
-    (FoxImage) for all such factors.  Each is raised to its multiplicity.
+    determinant(evaluate_rep_phi(fox_image(J, f), factor, domain)) for the
+    Fox Jacobian J = knots.fox_jacobian(pres, dropped), its fox_image built
+    once for all such factors.  Each is raised to its multiplicity.
     Over Q the regular representation is conjugate to the direct sum of its
     factors with repetition, so its block matrix is conjugate to the block
     diagonal of theirs; both sides of the determinant identity are integer
@@ -335,7 +335,8 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
     The presentation and the dropped generator are checked by
     knots.fox_jacobian, which the norm reaches through alexander_minor,
     before the denominator reads f(x_dropped); this function checks only
-    the representation.
+    the representation: that it is a permutation representation of f's
+    group, which evaluate_rep_phi, given only f's fox_image, relies on.
     """
     if rep.group is not f.group:
         raise ValueError("representation and homomorphism target differ")
@@ -353,8 +354,8 @@ def wada_invariant(pres: KnotPresentation, f: Homomorphism, rep: MatrixRep,
                                     perm)
         else:
             if image is None:
-                image = FoxImage(fox_jacobian(pres, dropped), f)
-            part = determinant(evaluate_rep_phi(image, f, factor, domain))
+                image = fox_image(fox_jacobian(pres, dropped), f)
+            part = determinant(evaluate_rep_phi(image, factor, domain))
         part = part ** multiplicity
         num = part if num is None else num * part
     den = permutation_norm(LaurentPolynomial.make(domain, 0, [-1, 1]),

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from talex.algebra import INTEGERS, LaurentPolynomial, PolyMatrix
+from talex.algebra import (
+    INTEGERS,
+    LaurentPolynomial,
+    PolyMatrix,
+    coefficient_cell,
+)
 from talex.homsearch import evaluate_word
 from talex.knots import (
     KnotPresentation,
@@ -69,5 +74,32 @@ def dense_rep_phi(element, f, rep, domain, scale=1):
                 if mat[i][j]:
                     cells[i][j][e] = cells[i][j].get(e, 0) + c * mat[i][j]
     return PolyMatrix.from_rows(
-        [[LaurentPolynomial.from_coeff_map(domain, cell) for cell in row]
-         for row in cells])
+        [[LaurentPolynomial(domain, *coefficient_cell(cell, domain.p))
+          for cell in row] for row in cells])
+
+
+def fuzz_json(rng, depth=2):
+    """A random JSON value: a scalar of any JSON type, a list of small
+    ints, or (above depth 0) a list or object of such values."""
+    kind = rng.randrange(7 if depth else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-2, 4)
+    if kind == 2:
+        return rng.choice([2.5, 1.0, -0.0])
+    if kind == 3:
+        return rng.choice(["", "k", "2"])
+    if kind == 4:
+        return [rng.randint(-3, 3) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        return [fuzz_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {rng.choice(["k", "knots", "order", "table"]):
+            fuzz_json(rng, depth - 1) for _ in range(rng.randrange(3))}
+
+
+def fuzz_object(rng, fields):
+    """An object with a random subset of the fields: each present one
+    holds a plausible value, fields[key](rng), or any fuzz_json value."""
+    return {key: make(rng) if rng.random() < 0.8 else fuzz_json(rng)
+            for key, make in fields.items() if rng.random() < 0.8}

@@ -132,8 +132,7 @@ def simplify_presentation_counter(pres: KnotPresentation) -> KnotPresentation:
         generators=len(alive),
         relators=tuple(tuple(renumber[letter] if letter > 0
                              else -renumber[-letter] for letter in r)
-                       for r in relators),
-        meridional=pres.meridional)
+                       for r in relators))
 
 
 # -- permutation realizations of catalog groups ---------------------------
@@ -197,7 +196,7 @@ def d3_semidirect_c3_in_s9() -> FiniteGroup:
 
 
 def trivial_representation(group: FiniteGroup) -> MatrixRep:
-    return MatrixRep(group, 1, ((0,),) * group.order)
+    return MatrixRep(group, ((0,),) * group.order)
 
 
 def direct_sum_rep(r1: MatrixRep, r2: MatrixRep) -> MatrixRep:
@@ -207,7 +206,7 @@ def direct_sum_rep(r1: MatrixRep, r2: MatrixRep) -> MatrixRep:
     d1 = r1.dimension
     perms = tuple(p1 + tuple(d1 + x for x in p2)
                   for p1, p2 in zip(r1.perms, r2.perms))
-    return MatrixRep(r1.group, d1 + r2.dimension, perms)
+    return MatrixRep(r1.group, perms)
 
 
 def satisfies_relators(pres: KnotPresentation, group: FiniteGroup,

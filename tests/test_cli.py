@@ -537,7 +537,10 @@ class TestTableSources:
          "column 0 is not a permutation"),
         ({"order": 2, "table": [[0, 1], [1, 0]], "labels": {"a": 2}},
          "label 'a' out of range"),
-    ], ids=["empty", "short-row", "column", "label-range"])
+        ({"order": 1}, "Cayley table has no 'table'"),
+        ({"table": [[0]]}, "Cayley table has no 'order'"),
+    ], ids=["empty", "short-row", "column", "label-range", "no-table",
+            "no-order"])
     def test_cayley_table_failing_an_axiom_is_bad_input(
             self, capsys, tmp_path, content, message):
         path = tmp_path / "g.json"
@@ -553,7 +556,9 @@ class TestTableSources:
          "crossing 0: over-edges 4,6 are not consecutive"),
         ({"generators": 3, "relators": [[1, 2, -1, -3]]},
          "expected deficiency one (3 generators, 1 relators)"),
-    ], ids=["pd-over-edges", "deficiency"])
+        ({"relators": [[1, 2, 1, -2, -1, -2]]},
+         "has relators but no 'generators'"),
+    ], ids=["pd-over-edges", "deficiency", "no-generators"])
     def test_table_entry_failing_a_check_is_bad_input(
             self, capsys, tmp_path, entry, message):
         path = tmp_path / "t.json"

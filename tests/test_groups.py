@@ -1,10 +1,12 @@
 import itertools
 import json
+import random
 import time
 
 import pytest
 from sympy import totient
 
+from conftest import fuzz_json, fuzz_object
 from paper_lemmas import (
     alternating4_as_even_permutations,
     d3_semidirect_c3_in_s9,
@@ -444,6 +446,35 @@ class TestValidation:
         with pytest.raises(GroupValidationError, match="not an integer"):
             group_from_cayley_json(obj)
 
+    def test_random_objects_load_or_raise_the_validation_error(self):
+        # objects with random subsets of the fields, plausible or not:
+        # every one loads or raises GroupValidationError, never a bare
+        # KeyError or another error of the loader
+        def table(rng):
+            n = rng.randint(0, 3)
+            rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+            return rows if rng.random() < 0.7 else [
+                [rng.randint(-1, n) for _ in range(rng.randint(0, n + 1))]
+                for _ in range(n)]
+
+        fields = {
+            "order": lambda rng: rng.randint(1, 3),
+            "table": table,
+            "labels": lambda rng: {"a": rng.randint(-1, 3)},
+            "name": lambda rng: "G",
+            "identity": lambda rng: rng.randint(-1, 2),
+        }
+        rng, loaded = random.Random(27), 0
+        for _ in range(5000):
+            obj = fuzz_object(rng, fields) if rng.random() < 0.9 \
+                else fuzz_json(rng)
+            try:
+                group_from_cayley_json(json.loads(json.dumps(obj)))
+                loaded += 1
+            except GroupValidationError:
+                pass
+        assert loaded > 0
+
 
 class TestRepresentations:
     def test_trivial_group_regular(self):
@@ -482,7 +513,7 @@ class TestRepresentations:
     def test_cycle_structure_of_regular_images(self, g):
         # det(t * rho(g) - I) = +-(t^k - 1)^(|G|/k) for g of order k
         rep = regular_representation(g)
-        t = LaurentPolynomial.t_power(1)
+        t = LaurentPolynomial.one().shift(1)
         one = LaurentPolynomial.one()
         zero = LaurentPolynomial.zero()
         for x in g.elements():
@@ -498,14 +529,14 @@ class TestRepresentations:
 
     def test_validate_rejects_broken_rep(self):
         # the image of 1 sends both points to 0: not a bijection
-        bad = MatrixRep(cyclic(2), 2, ((0, 1), (0, 0)))
+        bad = MatrixRep(cyclic(2), ((0, 1), (0, 0)))
         with pytest.raises(GroupValidationError, match="bijection"):
             bad.validate()
 
     def test_validate_rejects_law_violation(self):
         # bijections throughout, but rho(2) = rho(1) != rho(1)^2
         cycle = (1, 2, 0)
-        bad = MatrixRep(cyclic(3), 3, ((0, 1, 2), cycle, cycle))
+        bad = MatrixRep(cyclic(3), ((0, 1, 2), cycle, cycle))
         with pytest.raises(GroupValidationError, match="homomorphism"):
             bad.validate()
 
@@ -517,7 +548,7 @@ class TestRepresentations:
         sign.validate()
         exps = list(sign.exponents)
         exps[1] = (exps[1][0] + 1,) + exps[1][1:]
-        bad = MatrixRep(sign.group, 3, sign.perms, tuple(exps), 2)
+        bad = MatrixRep(sign.group, sign.perms, tuple(exps), 2)
         with pytest.raises(GroupValidationError, match="homomorphism"):
             bad.validate()
 
@@ -544,9 +575,9 @@ class TestRepresentations:
     def test_validate_rejects_wrong_identity_and_count(self):
         g = cyclic(2)
         with pytest.raises(GroupValidationError, match="identity"):
-            MatrixRep(g, 2, ((1, 0), (1, 0))).validate()
+            MatrixRep(g, ((1, 0), (1, 0))).validate()
         with pytest.raises(GroupValidationError, match="one image"):
-            MatrixRep(g, 2, ((0, 1),)).validate()
+            MatrixRep(g, ((0, 1),)).validate()
 
 
 SPLIT_GROUPS = [g for _, g, _ in catalog_under_24()] + [dp_semidirect_cp(5)]
@@ -613,16 +644,17 @@ class TestCharacterSplit:
         # 6 and 3 have orders 2 and 6 mod 7, 2 has order 4 mod 5, and 9
         # is not prime
         for root in ((6, 7), (3, 7), (2, 5), (2, 9)):
-            bad = MatrixRep(g, 7, chi.perms, chi.exponents, 3, root)
+            bad = MatrixRep(g, chi.perms, chi.exponents, 3, root)
             with pytest.raises(GroupValidationError, match="order"):
                 bad.validate()
         exps = list(chi.exponents)
         exps[1] = (exps[1][0] + 1,) + exps[1][1:]
-        bad = MatrixRep(g, 7, chi.perms, tuple(exps), 3, chi.root)
+        bad = MatrixRep(g, chi.perms, tuple(exps), 3, chi.root)
         with pytest.raises(GroupValidationError, match="homomorphism"):
             bad.validate()
-        # a scalar factor has one block per coset, not phi(d)
-        bad = MatrixRep(g, 14, chi.perms, chi.exponents, 3, chi.root)
+        # every column map has as many blocks as the identity's
+        perms = chi.perms[:1] + tuple(p + p[:1] for p in chi.perms[1:])
+        bad = MatrixRep(g, perms, chi.exponents, 3, chi.root)
         with pytest.raises(GroupValidationError, match="bijection"):
             bad.validate()
 

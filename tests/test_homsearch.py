@@ -29,7 +29,6 @@ from talex.homsearch import (
     find_meridional_surjections,
     regular_equivalence_classes,
 )
-from talex.knots import KnotPresentation
 from talex.theorems import catalog_under_24
 
 
@@ -112,11 +111,6 @@ class TestSearch:
     def test_budget_exceeded(self, table):
         with pytest.raises(BudgetExceededError):
             find_meridional_surjections(table["8_18"], dihedral(3), budget=10)
-
-    def test_requires_meridional(self):
-        pres = KnotPresentation(2, ((1, 1, -2, -2),), meridional=False)
-        with pytest.raises(ValueError, match="meridional"):
-            find_meridional_surjections(pres, dihedral(3))
 
     @pytest.mark.parametrize("group", [
         cyclic(5), cyclic(12), dihedral(3), dihedral(5), dicyclic(3),

@@ -1,10 +1,12 @@
+import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled_pd_codes, poly
+from conftest import bundled_pd_codes, fuzz_json, fuzz_object, poly
 from paper_lemmas import ring_add, ring_word_mul
 from talex.algebra import (
     INTEGERS,
@@ -159,7 +161,6 @@ class TestWirtinger:
         pres = wirtinger_from_pd(PDCode.parse(TREFOIL_PD))
         assert pres.generators == 3
         assert len(pres.relators) == 2
-        assert pres.meridional
         assert alexander_polynomial(pres) == poly([1, -1, 1])
 
     def test_one_crossing_unknot(self):
@@ -184,7 +185,7 @@ class TestWirtinger:
             pd = PDCode.parse(raw)
             pres = wirtinger_from_pd(pd)
             # relators have the shape (e*o, a, -e*o, -c)
-            t = LaurentPolynomial.t_power(1)
+            t = LaurentPolynomial.one().shift(1)
             one = LaurentPolynomial.one()
             rows = []
             for rel in pres.relators:
@@ -264,10 +265,8 @@ class TestAlexanderMinor:
 
     @pytest.mark.parametrize("pres,dropped,message", [
         (KnotPresentation(3, ((1, -2),)), None, "deficiency one"),
-        (KnotPresentation(2, ((1, 1, -2, -2),), meridional=False), None,
-         "meridional"),
         (KnotPresentation(2, ((1, 2, 1, -2, -1, -2),)), 3, "out of range"),
-    ], ids=["deficiency", "not-meridional", "dropped-range"])
+    ], ids=["deficiency", "dropped-range"])
     def test_rejects(self, pres, dropped, message):
         with pytest.raises(ValueError, match=message):
             alexander_minor(pres, INTEGERS, dropped)
@@ -286,12 +285,10 @@ class TestFoxJacobian:
         assert fox_jacobian(KnotPresentation(1, ())) == []
 
     @pytest.mark.parametrize("pres,dropped,message", [
-        (KnotPresentation(2, ((1, 1, -2, -2),), meridional=False), None,
-         "meridional"),
         (KnotPresentation(3, ((1, -2),)), None, "deficiency one"),
         (KnotPresentation(2, ((1, 2, 1, -2, -1, -2),)), 0, "out of range"),
         (KnotPresentation(2, ((1, 2, 1, -2, -1, -2),)), 3, "out of range"),
-    ], ids=["not-meridional", "deficiency", "dropped-0", "dropped-m+1"])
+    ], ids=["deficiency", "dropped-0", "dropped-m+1"])
     def test_rejects(self, pres, dropped, message):
         with pytest.raises(ValueError, match=message):
             fox_jacobian(pres, dropped)
@@ -372,11 +369,37 @@ class TestKnotTable:
         assert alexander_polynomial(loaded["trefoil2gen"]) == poly([1, -1, 1])
 
     def test_file_object_source(self, table, tmp_path):
-        import io
         src = io.StringIO(json.dumps(
             {"knots": [{"name": "3_1", "pd": TREFOIL_PD}]}))
         got = load_knot_table(src)
         assert got["3_1"] == table["3_1"]
+
+    def test_random_tables_load_or_raise_the_table_error(self):
+        # entries with random subsets of the fields, plausible or not:
+        # every one loads or raises KnotTableError, never a bare KeyError
+        # or another error of the parser
+        fields = {
+            "name": lambda rng: rng.choice(["k", "j"]),
+            "generators": lambda rng: rng.randint(0, 3),
+            "relators": lambda rng: [
+                [rng.choice((1, -1, 2, -2, 3, -3))
+                 for _ in range(rng.randrange(7))]
+                for _ in range(rng.randrange(3))],
+            "pd": lambda rng: rng.choice(
+                [TREFOIL_PD, [[1, 2, 2, 1]], [[1, 2, 3, 4]], []]),
+        }
+        rng, loaded = random.Random(27), 0
+        for _ in range(5000):
+            table = {"knots": [fuzz_object(rng, fields)
+                               for _ in range(rng.randrange(1, 3))]}
+            if rng.random() < 0.1:
+                table = fuzz_json(rng)
+            try:
+                load_knot_table(io.StringIO(json.dumps(table)))
+                loaded += 1
+            except KnotTableError:
+                pass
+        assert loaded > 0
 
 
 def knot_table_text(**pd_codes) -> str:

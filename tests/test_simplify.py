@@ -60,7 +60,6 @@ class TestAgainstRawPresentation:
 
     def test_shape(self, raw_and_simplified):
         name, raw, simp = raw_and_simplified
-        assert simp.meridional
         assert len(simp.relators) == simp.generators - 1
         assert all(abelian_exponent(r) == 0 for r in simp.relators)
         assert abs(sum(alexander_minor(simp).coeffs)) == 1

@@ -20,6 +20,7 @@ from talex.algebra import (
     INTEGERS,
     LaurentPolynomial,
     RationalFunction,
+    coefficient_cell,
     equal_up_to_unit,
     prime_field,
     product_over_roots_of_unity,
@@ -108,9 +109,9 @@ def _quarter(delta, p):
     roots of unity: Delta(t) Delta(-t) = E(t^2) is even, and the other
     pair is E(-t^2)."""
     even = delta * substitute_scale(delta, -1)
-    other = LaurentPolynomial.from_coeff_map(INTEGERS, {
+    other = LaurentPolynomial(INTEGERS, *coefficient_cell({
         e: c * (-1) ** (e // 2 % 2)
-        for e, c in enumerate(even.coeffs, start=even.min_exp)})
+        for e, c in enumerate(even.coeffs, start=even.min_exp)}, None))
     return RationalFunction(even * other,
                             poly([-1, 0, 0, 0, 1])).reduce_mod(p)
 

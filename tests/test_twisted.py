@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from sympy import Matrix, Poly, cyclotomic_poly, symbols, totient
@@ -33,11 +34,13 @@ from talex.groups import (
 )
 from talex.homsearch import (
     Homomorphism,
+    evaluate_word,
     find_meridional_surjections,
     regular_equivalence_classes,
 )
 from talex.knots import (
     KnotPresentation,
+    abelian_exponent,
     alexander_minor,
     fox_derivative,
     fox_jacobian,
@@ -45,9 +48,9 @@ from talex.knots import (
 )
 from talex.theorems import catalog_under_24
 from talex.twisted import (
-    FoxImage,
     alexander_polynomial,
     evaluate_rep_phi,
+    fox_image,
     invariants,
     permutation_norm,
     wada_invariant,
@@ -68,7 +71,8 @@ def block_rows(pres, f, rep, domain, dropped):
     m, dim = pres.generators, rep.dimension
     rows = []
     for r in pres.relators:
-        blocks = [evaluate_rep_phi([[fox_derivative(r, j)]], f, rep, domain)
+        blocks = [evaluate_rep_phi(fox_image([[fox_derivative(r, j)]], f),
+                                   rep, domain)
                   for j in range(1, m + 1) if j != dropped]
         for i in range(dim):
             rows.append([b.entry(i, jj) for b in blocks for jj in range(dim)])
@@ -94,7 +98,7 @@ class TestEvaluateRepPhi:
         g = dihedral(3)
         rep = regular_representation(g)
         f = Homomorphism(g, (g.label("b"),))
-        m = evaluate_rep_phi([[{(): 1}]], f, rep, INTEGERS)
+        m = evaluate_rep_phi(fox_image([[{(): 1}]], f), rep, INTEGERS)
         for i in range(6):
             for j in range(6):
                 expected = LaurentPolynomial.one() if i == j else \
@@ -105,7 +109,7 @@ class TestEvaluateRepPhi:
         g = cyclic(3)
         rep = regular_representation(g)
         f = Homomorphism(g, (1,))
-        m = evaluate_rep_phi([[{(1,): 1}]], f, rep, INTEGERS)
+        m = evaluate_rep_phi(fox_image([[{(1,): 1}]], f), rep, INTEGERS)
         for i in range(3):
             for j in range(3):
                 coeff = int(rep.perms[1][j] == i)
@@ -120,7 +124,8 @@ class TestEvaluateRepPhi:
         # order k splits into |G|/k cycles, so det = +-(t^k - 1)^(|G|/k)
         rep = regular_representation(g)
         f = Homomorphism(g, (x,))
-        m = evaluate_rep_phi([[{(1,): 1, (): -1}]], f, rep, INTEGERS)
+        m = evaluate_rep_phi(fox_image([[{(1,): 1, (): -1}]], f), rep,
+                             INTEGERS)
         det = determinant(m)
         k = g.element_order(x)
         cyc = LaurentPolynomial.make(INTEGERS, 0, [-1] + [0] * (k - 1) + [1])
@@ -145,17 +150,16 @@ class TestEvaluateRepPhi:
             for r in pres.relators:
                 for j in range(1, m + 1):
                     d = fox_derivative(r, j)
-                    assert evaluate_rep_phi([[d]], f, rep, domain) == \
-                        dense_rep_phi(d, f, rep, domain), (name, r, j)
+                    got = evaluate_rep_phi(fox_image([[d]], f), rep, domain)
+                    assert got == dense_rep_phi(d, f, rep, domain), \
+                        (name, r, j)
 
     def test_ragged_matrix_rejected(self):
-        g = cyclic(3)
-        f = Homomorphism(g, (1, 1))
-        rep = regular_representation(g)
+        f = Homomorphism(cyclic(3), (1, 1))
         x = {(1,): 1}
         for matrix in ([[x, x], [x]], [[x], [x, x]], [[x, x]], [[x], [x]]):
             with pytest.raises(ValueError, match="square"):
-                evaluate_rep_phi(matrix, f, rep, INTEGERS)
+                fox_image(matrix, f)
 
     def test_empty_matrix_keeps_its_domain(self):
         # a 0 x 0 matrix has no entry to read a domain from; its
@@ -163,23 +167,32 @@ class TestEvaluateRepPhi:
         g = dihedral(3)
         f, rep = Homomorphism(g, (3,)), regular_representation(g)
         for domain in (INTEGERS, prime_field(5)):
-            m = evaluate_rep_phi([], f, rep, domain)
+            m = evaluate_rep_phi(fox_image([], f), rep, domain)
             assert (m.rows, m.cols, m.domain) == (0, 0, domain)
             assert determinant(m) == LaurentPolynomial.one(domain)
             assert determinant(m).domain == domain
 
     def test_fox_image_is_evaluated_like_its_matrix(self, trefoil):
-        # the image under f x phi, built once, maps through every factor
-        # as the matrix itself does, and only under its own f
+        # the image of the whole Jacobian under f x phi holds each entry's
+        # terms (f(w), phi(w), c), merged and nonzero, and maps through
+        # every factor to the matrix whose blocks are the images of its
+        # entries, each pushed through f on its own
         g = dihedral(3)
-        f, other = find_meridional_surjections(trefoil, g)[:2]
+        f = find_meridional_surjections(trefoil, g)[0]
         jacobian, domain = fox_jacobian(trefoil), prime_field(3)
-        image = FoxImage(jacobian, f)
+        image = fox_image(jacobian, f)
+        for row, image_row in zip(jacobian, image, strict=True):
+            for element, terms in zip(row, image_row, strict=True):
+                merged = Counter()
+                for word, c in element.items():
+                    merged[evaluate_word(g, f.images, word),
+                           abelian_exponent(word)] += c
+                assert sorted(terms) == sorted(
+                    (x, e, c) for (x, e), c in merged.items() if c)
         for factor, _ in regular_representation(g).factors(3):
-            assert evaluate_rep_phi(image, f, factor, domain) == \
-                evaluate_rep_phi(jacobian, f, factor, domain)
-        with pytest.raises(ValueError, match="another homomorphism"):
-            evaluate_rep_phi(image, other, factor, domain)
+            assert evaluate_rep_phi(image, factor, domain) == \
+                PolyMatrix.from_rows(block_rows(
+                    trefoil, f, factor, domain, trefoil.generators))
 
     def test_group_mismatch(self, trefoil):
         # both routes refuse a representation of another group: the
@@ -266,14 +279,6 @@ class TestWadaInvariant:
         with pytest.raises(ValueError, match="permutation representation"):
             wada_invariant(trefoil, f, factor)
 
-    def test_non_meridional_presentation_rejected(self, trefoil):
-        g = dihedral(3)
-        f = find_meridional_surjections(trefoil, g)[0]
-        pres = KnotPresentation(trefoil.generators, trefoil.relators,
-                                meridional=False)
-        with pytest.raises(ValueError, match="meridional"):
-            wada_invariant(pres, f, regular_representation(g))
-
     @pytest.mark.parametrize("dropped", [0, 4, -1])
     def test_dropped_generator_out_of_range_rejected(self, trefoil,
                                                      dropped):
@@ -357,16 +362,16 @@ class TestWadaInvariant:
         dim = rep.dimension
         zero = LaurentPolynomial.zero()
         for r in trefoil.relators:
-            acc = PolyMatrix(dim, dim, tuple([zero] * (dim * dim)))
+            acc = [[zero] * dim for _ in range(dim)]
             for j in range(1, trefoil.generators + 1):
-                dm = evaluate_rep_phi([[fox_derivative(r, j)]], f, rep,
-                                      INTEGERS)
-                xm = evaluate_rep_phi([[{(j,): 1, (): -1}]], f, rep,
-                                      INTEGERS)
+                dm = evaluate_rep_phi(
+                    fox_image([[fox_derivative(r, j)]], f), rep, INTEGERS)
+                xm = evaluate_rep_phi(
+                    fox_image([[{(j,): 1, (): -1}]], f), rep, INTEGERS)
                 prod = mat_mul(dm, xm)
-                acc = PolyMatrix(dim, dim, tuple(
-                    a + b for a, b in zip(acc.entries, prod.entries)))
-            assert all(e.is_zero for e in acc.entries)
+                acc = [[acc[i][k] + prod.entry(i, k) for k in range(dim)]
+                       for i in range(dim)]
+            assert all(e.is_zero for row in acc for e in row)
 
 
 class TestFoxJacobian:
@@ -383,8 +388,8 @@ class TestFoxJacobian:
             f = Homomorphism(g, (0,) * pres.generators)
             for domain in (INTEGERS, prime_field(2), prime_field(5)):
                 for j in range(1, pres.generators + 1):
-                    oracle = determinant(evaluate_rep_phi(
-                        fox_jacobian(pres, j), f, trivial_representation(g),
+                    oracle = determinant(evaluate_rep_phi(fox_image(
+                        fox_jacobian(pres, j), f), trivial_representation(g),
                         domain))
                     assert alexander_minor(pres, domain, j) == oracle, \
                         (name, domain, j)
@@ -399,10 +404,10 @@ class TestFoxJacobian:
         domain, rep = prime_field(p), regular_representation(g)
         f = find_meridional_surjections(pres, g, up_to_conjugacy=True)[0]
         assert len(set(f.images)) > 1
-        jacobian = fox_jacobian(pres)
         factors = rep.factors(p)
+        image = fox_image(fox_jacobian(pres), f)
         for factor, _ in factors:
-            assert evaluate_rep_phi(jacobian, f, factor, domain) == \
+            assert evaluate_rep_phi(image, factor, domain) == \
                 PolyMatrix.from_rows(block_rows(
                     pres, f, factor, domain, pres.generators))
         num = wada_invariant(pres, f, rep, domain).numerator
@@ -514,8 +519,8 @@ class TestTwistedMod:
             for domain in (INTEGERS, prime_field(2), prime_field(3)):
                 for rep in reps:
                     for x in g.elements():
-                        oracle = determinant(evaluate_rep_phi(
-                            [[generator_minus_one(1)]], Homomorphism(g, (x,)),
+                        oracle = determinant(evaluate_rep_phi(fox_image(
+                            [[generator_minus_one(1)]], Homomorphism(g, (x,))),
                             rep, domain))
                         assert not oracle.is_zero
                         assert permutation_norm(
@@ -526,8 +531,9 @@ class TestTwistedMod:
                         res = wada_invariant(trefoil, f, regular, domain,
                                              dropped_generator=j)
                         assert res.denominator == determinant(
-                            evaluate_rep_phi([[generator_minus_one(j)]], f,
-                                             regular, domain))
+                            evaluate_rep_phi(
+                                fox_image([[generator_minus_one(j)]], f),
+                                regular, domain))
 
 
     def test_permutation_norm_matches_block_determinant(self, table):
@@ -551,8 +557,8 @@ class TestTwistedMod:
                     power = {(1,) * k if k >= 0 else (-1,) * -k: c
                              for k, c in enumerate(a.coeffs, a.min_exp)}
                     for x in g.elements():
-                        oracle = determinant(evaluate_rep_phi(
-                            [[power]], Homomorphism(g, (x,)), rep, domain))
+                        oracle = determinant(evaluate_rep_phi(fox_image(
+                            [[power]], Homomorphism(g, (x,))), rep, domain))
                         assert permutation_norm(a, rep.perms[x]) == oracle, \
                             (g.name, x, domain, a)
 
@@ -655,10 +661,10 @@ def galois_orbit_factors(g, a, b):
             cols = [[decompose(g.mul(x, r)) for r in reps]
                     for x in g.elements()]
             factors.append(MatrixRep(
-                g, int(totient(d)) * len(reps),
-                tuple(tuple(i for i, _, _ in col) for col in cols),
+                g, tuple(tuple(i for i, _, _ in col) for col in cols),
                 tuple(tuple((al * u + be * v) * d // big % d
                             for _, u, v in col) for col in cols), d))
+            assert factors[-1].dimension == int(totient(d)) * len(reps)
     return factors
 
 
@@ -888,11 +894,11 @@ class TestCharacterSplit:
         chi = g.regular_factors(p=7)[1][0]
         f = find_meridional_surjections(table["6_1"], g,
                                         up_to_conjugacy=True)[0]
-        word = {(1,): 1}
-        assert evaluate_rep_phi([[word]], f, chi, prime_field(7)).rows == 7
+        image = fox_image([[{(1,): 1}]], f)
+        assert evaluate_rep_phi(image, chi, prime_field(7)).rows == 7
         for domain in (INTEGERS, prime_field(13)):
             with pytest.raises(ValueError, match="F_7"):
-                evaluate_rep_phi([[word]], f, chi, domain)
+                evaluate_rep_phi(image, chi, domain)
 
 
 FACTOR_CASES = [(g, p) for _, g, p in catalog_under_24()] \
@@ -937,8 +943,8 @@ class TestFactorNorms:
                                 len(jacobian) * factor.dimension > 20:
                             product = None
                             continue
-                        oracle = determinant(evaluate_rep_phi(
-                            jacobian, f, factor, domain))
+                        oracle = determinant(evaluate_rep_phi(fox_image(
+                            jacobian, f), factor, domain))
                         if normable:
                             assert permutation_norm(minor, maps.pop()) \
                                 == oracle, (knot, domain, f.images)

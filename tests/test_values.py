@@ -48,15 +48,15 @@ VALUES = {
     LaurentPolynomial: (("domain", "min_exp", "coeffs"), f),
     RationalFunction: (("numerator", "denominator"), r),
     PolyMatrix: (("domain", "rows", "cols", "cells"),
-                 lambda: PolyMatrix(1, 2, (f(), f().shift(1)))),
+                 lambda: PolyMatrix(INTEGERS, 1, 2, ((-1, (1, -2, 1)),
+                                                     (0, (1, -2, 1))))),
     ConjugacyClass: (("representative", "members", "generates"),
                      lambda: ConjugacyClass(1, frozenset({1}), True)),
-    MatrixRep: (("group", "dimension", "perms", "exponents", "cyclotomic",
-                 "root"),
-                lambda: MatrixRep(C2, 2, ((0, 1), (1, 0)))),
+    MatrixRep: (("group", "perms", "exponents", "cyclotomic", "root"),
+                lambda: MatrixRep(C2, ((0, 1), (1, 0)))),
     Homomorphism: (("group", "images"), lambda: Homomorphism(C2, (1, 1))),
     PDCode: (("crossings",), lambda: PDCode(TREFOIL_PD)),
-    KnotPresentation: (("generators", "relators", "meridional"),
+    KnotPresentation: (("generators", "relators"),
                        lambda: KnotPresentation(2, ((1, 2, 1, -2, -1, -2),))),
     TheoremCase: (("name", "parameters", "modulus"),
                   lambda: TheoremCase("dihedral", (3, 1), 3)),
@@ -126,7 +126,7 @@ def test_unequal_fields_are_unequal():
     assert LaurentPolynomial.make(INTEGERS, -1, [1, 1]) != \
         LaurentPolynomial.make(prime_field(5), -1, [1, 1])
     assert r() != RationalFunction(f(), f())
-    assert KnotPresentation(1, ()) != KnotPresentation(1, (), False)
+    assert KnotPresentation(1, ()) != KnotPresentation(2, ((1, -2),))
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -154,15 +154,14 @@ def test_copy_and_pickle_round_trip(cls):
 
 def test_defaults():
     assert CoefficientDomain().p is None and CoefficientDomain() == INTEGERS
-    assert KnotPresentation(1, ()).meridional is True
-    rep = MatrixRep(C2, 2, ((0, 1), (1, 0)))
+    rep = MatrixRep(C2, ((0, 1), (1, 0)))
     assert rep.exponents is None and rep.cyclotomic == 1 and rep.root is None
 
 
 def test_repr():
     assert repr(INTEGERS) == "ZZ" and repr(prime_field(7)) == "GF(7)"
     assert repr(KnotPresentation(1, ())) == \
-        "KnotPresentation(generators=1, relators=(), meridional=True)"
+        "KnotPresentation(generators=1, relators=())"
     assert repr(LaurentPolynomial.make(prime_field(3), 0, [1])) == \
         "LaurentPolynomial(domain=GF(3), min_exp=0, coeffs=(1,))"
 
@@ -174,10 +173,10 @@ def test_repr():
      ZeroDivisionError),
     (lambda: RationalFunction(f(), LaurentPolynomial.one(prime_field(3))),
      DomainMismatchError),
-    (lambda: PolyMatrix(2, 2, (f(),) * 3), ValueError),
-    (lambda: PolyMatrix(-1, 0, ()), ValueError),
-    (lambda: PolyMatrix(1, 2, (f(), LaurentPolynomial.one(prime_field(3)))),
-     DomainMismatchError),
+    (lambda: PolyMatrix(INTEGERS, 2, 2, ((0, (1,)),) * 3), ValueError),
+    (lambda: PolyMatrix(INTEGERS, -1, 0, ()), ValueError),
+    (lambda: PolyMatrix.from_rows(
+        [[f(), LaurentPolynomial.one(prime_field(3))]]), DomainMismatchError),
     (lambda: PDCode(()), PDValidationError),
     (lambda: PDCode(((1, 2, 1),)), PDValidationError),
     (lambda: PDCode(TREFOIL_PD[:2] + ((5, 2, 6, 7),)), PDValidationError),
