@@ -5,7 +5,8 @@ Exit codes are a stable contract for CI use:
 
     0  success / everything verified (or vacuously true)
     1  congruence mismatch
-    2  no surjection exists
+    2  no surjection exists: the search found none, or the group is not
+       normally generated by one element, so no knot group maps onto it
     3  bad input (unknown knot, malformed group spec, invalid parameters,
        a usage error such as an unknown option)
     4  search budget exceeded
@@ -59,6 +60,7 @@ from .theorems import (
     CASE_NAMES,
     catalog_under_24,
     make_case,
+    require_normal_generator,
     verify_congruence,
 )
 from .twisted import alexander_polynomial, invariants
@@ -68,10 +70,6 @@ EXIT_MISMATCH = 1
 EXIT_NO_SURJECTION = 2
 EXIT_BAD_INPUT = 3
 EXIT_BUDGET = 4
-
-_EVEN_DEGREE_HINT = (
-    "even-degree dihedral/dicyclic groups are not normally generated by one "
-    "element, so no knot group surjects onto them")
 
 
 class CliError(Exception):
@@ -92,7 +90,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Compact group specifiers: C5, D9, Dic3, G(3,7|2), A4, D3xC3 (direct
     product), DpsCp for an odd prime p (D_p x| C_p, e.g. D3sC3),
-    cayley:<path>."""
+    cayley:<path>.  A spec names a group whether or not a knot group maps
+    onto it: D4 and C2xC2 parse, and the commands report no surjection."""
     if spec.startswith("cayley:"):
         path = spec[len("cayley:"):]
         try:
@@ -100,46 +99,33 @@ def parse_group_spec(spec: str) -> FiniteGroup:
                 return group_from_cayley_json(json.load(fh))
         except (OSError, json.JSONDecodeError, GroupValidationError) as exc:
             raise CliError(f"cannot load Cayley table {path!r}: {exc}")
-    try:
-        return _catalog_group(spec)
-    except ValueError as exc:  # a constructor rejected the parameters
-        raise CliError(str(exc))
-
-
-def _catalog_group(spec: str) -> FiniteGroup:
-    if spec == "A4":
-        return alternating4()
-    m = re.fullmatch(r"C(\d+)", spec)
-    if m:
-        return cyclic(int(m.group(1)))
-    m = re.fullmatch(r"D(\d+)sC(\d+)", spec)
-    if m:
-        p, c = int(m.group(1)), int(m.group(2))
-        if p != c:
-            raise CliError(f"semidirect spec must be DpsCp, got {spec!r}")
-        return dp_semidirect_cp(p)
-    m = re.fullmatch(r"D(\d+)", spec)
-    if m:
-        q = int(m.group(1))
-        if q % 2 == 0:
-            raise CliError(f"D{q}: {_EVEN_DEGREE_HINT}")
-        return dihedral(q)
-    m = re.fullmatch(r"Dic(\d+)", spec)
-    if m:
-        q = int(m.group(1))
-        if q % 2 == 0:
-            raise CliError(f"Dic{q}: {_EVEN_DEGREE_HINT}")
-        return dicyclic(q)
-    m = re.fullmatch(r"G\((\d+),(\d+)\|(\d+)\)", spec)
-    if m:
-        return metacyclic(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    if "x" in spec:  # direct products, e.g. D3xC3 or C2xC2
-        left, right = spec.split("x", 1)
-        return direct_product(parse_group_spec(left),
-                              parse_group_spec(right))
+    for pattern, build in _CATALOG:
+        m = re.fullmatch(pattern, spec)
+        if m:
+            try:
+                return build(*m.groups())
+            except ValueError as exc:  # a constructor rejected the parameters
+                raise CliError(str(exc))
     raise CliError(
         f"unrecognized group spec {spec!r} (expected C5, D9, Dic3, "
-        "G(3,7|2), A4, D3xC3, D3sC3 or cayley:<path>)")
+        "G(3,7|2), A4, D3xC3, DpsCp for an odd prime p such as D3sC3, or "
+        "cayley:<path>)")
+
+
+# one row per catalog spec: its pattern, matched in order against the whole
+# spec, and the group built from the pattern's groups.  The rows look the
+# constructors up when called, so rebinding a module-level name reaches them
+_CATALOG = (
+    (r"A4", lambda: alternating4()),
+    (r"C(\d+)", lambda n: cyclic(int(n))),
+    (r"D(\d+)sC\1", lambda p: dp_semidirect_cp(int(p))),
+    (r"D(\d+)", lambda n: dihedral(int(n))),
+    (r"Dic(\d+)", lambda n: dicyclic(int(n))),
+    (r"G\((\d+),(\d+)\|(\d+)\)",
+     lambda m, p, k: metacyclic(int(m), int(p), int(k))),
+    (r"([^x]*)x(.*)", lambda left, right: direct_product(
+        parse_group_spec(left), parse_group_spec(right))),
+)
 
 
 def _load_table(args) -> dict:
@@ -216,16 +202,40 @@ def _emit(args, command, config, results, text_lines) -> None:
             print(line)
 
 
+def _each_knot(args, command: str, config: dict, ident: dict, tag: str,
+               run) -> int:
+    """Run a command over the knots config["knots"] and emit its envelope.
+
+    ``run(name)`` returns the knot's JSON record, its text lines and its
+    exit code.  A knot whose search exceeds the budget gets the record
+    {"knot", **ident, "error"}, the line "<name><tag>: <error>" and exit
+    4, and later knots still run.  The command exits with the worst code
+    of its knots.
+    """
+    results, lines, worst = [], [], EXIT_OK
+    for name in config["knots"]:
+        try:
+            record, text, code = run(name)
+        except BudgetExceededError as exc:
+            record = {"knot": name, **ident, "error": str(exc)}
+            text, code = [f"{name}{tag}: {exc}"], EXIT_BUDGET
+        results.append(record)
+        lines += text
+        worst = max(worst, code)
+    _emit(args, command, config, results, lines)
+    return worst
+
+
 def cmd_alexander(args) -> int:
     table = _load_table(args)
-    names = _select_knots(args, table)
-    results, lines = [], []
-    for name in names:
+
+    def run(name):
         poly = alexander_polynomial(table[name])
-        results.append({"knot": name, "polynomial": poly.to_json()})
-        lines.append(f"{name}: {to_text(poly)}")
-    _emit(args, "alexander", {"knots": names}, results, lines)
-    return EXIT_OK
+        return ({"knot": name, "polynomial": poly.to_json()},
+                [f"{name}: {to_text(poly)}"], EXIT_OK)
+
+    return _each_knot(args, "alexander",
+                      {"knots": _select_knots(args, table)}, {}, "", run)
 
 
 def _coefficient_domain(mod) -> CoefficientDomain:
@@ -241,43 +251,34 @@ def cmd_compute(args) -> int:
     group = parse_group_spec(args.group)
     mod = args.mod
     domain = _coefficient_domain(mod)
-    results, lines = [], []
-    worst = EXIT_OK
-    for name in names:
+    ident, tag = {"group": group.name}, f" -> {group.name}"
+
+    def run(name):
         pres = table[name]
-        try:
-            surjections = find_meridional_surjections(
-                pres, group, up_to_conjugacy=args.up_to_conjugacy,
-                budget=args.budget)
-        except BudgetExceededError as exc:
-            worst = max(worst, EXIT_BUDGET)
-            results.append({"knot": name, "group": group.name,
-                            "error": str(exc)})
-            lines.append(f"{name} -> {group.name}: {exc}")
-            continue
+        surjections = find_meridional_surjections(
+            pres, group, up_to_conjugacy=args.up_to_conjugacy,
+            budget=args.budget)
         if not surjections:
-            worst = max(worst, EXIT_NO_SURJECTION)
-            results.append({"knot": name, "group": group.name,
-                            "surjections_found": 0, "invariants": []})
-            lines.append(f"{name} -> {group.name}: no surjection")
-            continue
-        records, shared = [], {}
+            return ({"knot": name, **ident, "surjections_found": 0,
+                     "invariants": []},
+                    [f"{name}{tag}: no surjection"], EXIT_NO_SURJECTION)
+        records, lines, shared = [], [], {}
         for f, res in zip(surjections,
                           invariants(pres, group, surjections, domain)):
             if id(res) not in shared:  # one result per automorphism class
                 shared[id(res)] = res.to_json()
             records.append({"images": list(f.images), **shared[id(res)]})
-            lines.append(f"{name} -> {group.name}"
-                         + (f" mod {mod}" if mod else "")
+            lines.append(f"{name}{tag}" + (f" mod {mod}" if mod else "")
                          + f" via {list(f.images)}: {res.normalized}")
-        results.append({"knot": name, "group": group.name, "modulus": mod,
-                        "surjections_found": len(surjections),
-                        "invariants": records})
-    _emit(args, "compute",
-          {"knots": names, "group": args.group, "modulus": mod,
-           "upToConjugacy": args.up_to_conjugacy, "budget": args.budget},
-          results, lines)
-    return worst
+        return ({"knot": name, **ident, "modulus": mod,
+                 "surjections_found": len(surjections),
+                 "invariants": records}, lines, EXIT_OK)
+
+    return _each_knot(
+        args, "compute",
+        {"knots": names, "group": args.group, "modulus": mod,
+         "upToConjugacy": args.up_to_conjugacy, "budget": args.budget},
+        ident, tag, run)
 
 
 def _case_from_args(args):
@@ -297,73 +298,56 @@ def cmd_verify(args) -> int:
     table = _load_table(args)
     names = _select_knots(args, table)
     case = _case_from_args(args)
-    results, lines = [], []
-    worst = EXIT_OK
-    for name in names:
-        try:
-            rec = verify_congruence(table[name], name, case,
-                                    budget=args.budget)
-        except BudgetExceededError as exc:
-            worst = max(worst, EXIT_BUDGET)
-            results.append({"knot": name, "error": str(exc)})
-            lines.append(f"{name} {case}: {exc}")
-            continue
-        results.append(rec.to_json())
+    tag = f" {case}"
+
+    def run(name):
+        rec = verify_congruence(table[name], name, case, budget=args.budget)
         if rec.vacuous:
-            lines.append(f"{name} {case}: no surjection (vacuous)")
+            line = f"{name}{tag}: no surjection (vacuous)"
         else:
             status = "all verified" if rec.all_verified else "MISMATCH"
-            lines.append(
-                f"{name} {case}: {rec.surjections_found} surjection(s), "
-                f"{status} ({rec.elapsed_ms:.0f} ms)")
-        if not rec.all_verified:
-            worst = max(worst, EXIT_MISMATCH)
-    _emit(args, "verify",
-          {"knots": names, "case": case.name,
-           "parameters": list(case.parameters), "modulus": case.modulus,
-           "budget": args.budget},
-          results, lines)
-    return worst
+            line = (f"{name}{tag}: {rec.surjections_found} surjection(s), "
+                    f"{status} ({rec.elapsed_ms:.0f} ms)")
+        return (rec.to_json(), [line],
+                EXIT_OK if rec.all_verified else EXIT_MISMATCH)
+
+    return _each_knot(
+        args, "verify",
+        {"knots": names, "case": case.name,
+         "parameters": list(case.parameters), "modulus": case.modulus,
+         "budget": args.budget},
+        {}, tag, run)
 
 
 def cmd_surjections(args) -> int:
     table = _load_table(args)
     names = _select_knots(args, table)
     group = parse_group_spec(args.group)
-    results, lines = [], []
-    worst = EXIT_OK
-    if group.is_normally_generated_by_one() is None:
-        raise CliError(f"{group.name} is not normally generated by one "
-                       "element; no knot group surjects onto it",
-                       EXIT_NO_SURJECTION)
-    for name in names:
-        pres = table[name]
-        try:
-            reps = find_meridional_surjections(
-                pres, group, up_to_conjugacy=True, budget=args.budget)
-        except BudgetExceededError as exc:
-            worst = max(worst, EXIT_BUDGET)
-            results.append({"knot": name, "group": group.name,
-                            "error": str(exc)})
-            lines.append(f"{name} -> {group.name}: {exc}")
-            continue
-        if not reps:
-            worst = max(worst, EXIT_NO_SURJECTION)
+    try:
+        require_normal_generator(group)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_NO_SURJECTION)
+    ident, tag = {"group": group.name}, f" -> {group.name}"
+
+    def run(name):
+        reps = find_meridional_surjections(
+            table[name], group, up_to_conjugacy=True, budget=args.budget)
         orbits = [conjugates(group, h.images) for h in reps]
         count = sum(map(len, orbits))
         listed = ([h.images for h in reps] if args.up_to_conjugacy
                   else sorted(set().union(*orbits)))
-        results.append({
-            "knot": name, "group": group.name, "count": count,
-            "count_up_to_conjugacy": len(reps),
-            "surjections": [list(images) for images in listed]})
-        lines.append(f"{name} -> {group.name}: {count} surjections "
-                     f"({len(reps)} up to conjugacy)")
-    _emit(args, "surjections",
-          {"knots": names, "group": args.group,
-           "upToConjugacy": args.up_to_conjugacy, "budget": args.budget},
-          results, lines)
-    return worst
+        return ({"knot": name, **ident, "count": count,
+                 "count_up_to_conjugacy": len(reps),
+                 "surjections": [list(images) for images in listed]},
+                [f"{name}{tag}: {count} surjections "
+                 f"({len(reps)} up to conjugacy)"],
+                EXIT_OK if reps else EXIT_NO_SURJECTION)
+
+    return _each_knot(
+        args, "surjections",
+        {"knots": names, "group": args.group,
+         "upToConjugacy": args.up_to_conjugacy, "budget": args.budget},
+        ident, tag, run)
 
 
 def cmd_groups_list(args) -> int:

@@ -12,11 +12,12 @@ The right side is the paper's cyclic theorem for G/G' raised to |G'|.
 
 Sketch of the proof:
 
-* f followed by G -> G/G' lands in an abelian group, so it factors
-  through H_1(K) = ZZ.  Hence G/G' is cyclic and the meridian maps to a
-  generator, and the composite is the regular representation of C_k on
-  the abelianization, whose Wada invariant is the paper's cyclic theorem:
-  the orbit quotient above.
+* A knot group is normally generated by a meridian, so G is normally
+  generated by its image g.  In the abelian group G/G' every conjugate
+  of g maps to gG', so G/G' = <gG'> is cyclic of order k with the
+  meridian mapping to a generator.  The composite is then the regular
+  representation of C_k on the abelianization, whose Wada invariant is
+  the paper's cyclic theorem: the orbit quotient above.
 * Over F_p, the regular module F_p[G] and the inflation of
   F_p[G/G']^{|G'|} have equal Brauer characters.  On a p-regular g both
   are |G| at g = 1 and 0 elsewhere, because the inflation's value
@@ -43,12 +44,16 @@ their (k, |G'|) are:
 The d3c3 case is the conjecture's p = 3 instance, which the paper proves:
 both build their group with groups.dp_semidirect_cp(3).
 
-``rhs`` checks both conditions on the group it is given rather than
-assuming them.  ``verify_congruence`` still computes the left side on G
-itself.  Complex roots of unity never appear: both orbit products are
-cycle norms prod_z a(z*t) (algebra.cycle_norm), computed over ZZ from
-power sums by Newton's identities and reduced mod p afterwards, so
-everything stays exact.
+``rhs`` checks both premises on the group it is given rather than
+assuming them: that G is normally generated by one element, which is
+exactly when some knot group maps onto it and gives the cyclic G/G', and
+that G' is a p-group.  ``make_case`` checks the first on every case's
+group, so D_q x C_m with m even, whose abelianization C2 x C_m is not
+cyclic, is refused there.  ``verify_congruence`` still computes the left
+side on G itself.  Complex roots of unity never appear: both orbit
+products are cycle norms prod_z a(z*t) (algebra.cycle_norm), computed
+over ZZ from power sums by Newton's identities and reduced mod p
+afterwards, so everything stays exact.
 """
 
 from __future__ import annotations
@@ -92,15 +97,6 @@ class _Case(FrozenValue):
         self._fill(parameters, group, modulus)
 
 
-def _dihedral_times_cyclic(p: int, n: int, m: int) -> FiniteGroup:
-    if m % 2 == 0:
-        raise ValueError(
-            f"dihedral x cyclic case needs m odd, got {m}: D_q x C_m "
-            "then has the non-cyclic abelianization C2 x C_m, so no knot "
-            "group surjects onto it")
-    return direct_product(dihedral(p ** n), cyclic(m))
-
-
 # one row per case: its parameters in order with their defaults (None for a
 # required one), its group built from them, and the modulus its congruence
 # lives at: a parameter's name, a fixed prime, or None for the exact cyclic
@@ -109,8 +105,9 @@ def _dihedral_times_cyclic(p: int, n: int, m: int) -> FiniteGroup:
 _CASES = {
     "cyclic": _Case({"n": None}, lambda n: cyclic(n), None),
     "dihedral": _Case({"p": None, "n": 1}, lambda p, n: dihedral(p ** n), "p"),
-    "dihedral_times_cyclic": _Case({"p": None, "n": 1, "m": None},
-                                   _dihedral_times_cyclic, "p"),
+    "dihedral_times_cyclic": _Case(
+        {"p": None, "n": 1, "m": None},
+        lambda p, n, m: direct_product(dihedral(p ** n), cyclic(m)), "p"),
     "metacyclic": _Case({"m": None, "p": None, "k": None},
                         lambda m, p, k: metacyclic(m, p, k), "p"),
     "dicyclic": _Case({"p": None, "n": 1}, lambda p, n: dicyclic(p ** n), "p"),
@@ -148,6 +145,15 @@ def _odd_prime(p: int | None, what: str) -> int:
     return p
 
 
+def require_normal_generator(group: FiniteGroup) -> None:
+    """Raise ValueError unless ``group`` is normally generated by one
+    element.  A knot group is normally generated by a meridian, so this is
+    exactly when some knot group maps onto ``group``."""
+    if group.is_normally_generated_by_one() is None:
+        raise ValueError(f"{group.name} is not normally generated by one "
+                         "element; no knot group surjects onto it")
+
+
 def make_case(name: str, *, modulus: int | None = None,
               **params: int | None) -> TheoremCase:
     """Build and validate the case ``name`` from its ``_CASES`` row.
@@ -156,7 +162,8 @@ def make_case(name: str, *, modulus: int | None = None,
     take every parameter given; p must be an odd prime, the others at
     least 1.  Only the cyclic case, exact and so true at every prime,
     takes a modulus other than its own.  The group is built here, so
-    its constructor's checks (metacyclic's k, an odd m) fail here too.
+    its constructor's checks (metacyclic's k) fail here too, and so does
+    a group that no knot group maps onto (require_normal_generator).
     """
     if name not in _CASES:
         raise ValueError(f"unknown case {name!r}")
@@ -181,7 +188,7 @@ def make_case(name: str, *, modulus: int | None = None,
         raise ValueError(
             f"modulus {modulus} conflicts with the {name} case, whose "
             f"congruence lives mod {own}")
-    group_for_case(case)
+    require_normal_generator(group_for_case(case))
     return case
 
 
@@ -209,31 +216,22 @@ def _cyclic_orbit_quotient(delta: LaurentPolynomial, n: int
     return RationalFunction(num, den)
 
 
-def _order_modulo(group: FiniteGroup, normal: frozenset[int], g: int) -> int:
-    """The order of the coset g N in G/N."""
-    j, x = 1, g
-    while x not in normal:
-        x = group.mul(x, g)
-        j += 1
-    return j
-
-
 def rhs(group: FiniteGroup, modulus: int | None,
         delta: LaurentPolynomial) -> RationalFunction:
     """The congruence's right-hand side for the regular representation of
     ``group``: with k = |G : G'|, the cyclic orbit quotient of order k
     raised to |G'|, reduced mod ``modulus`` when given, normalized.
 
-    Raises ValueError unless G/G' is cyclic and G' is a p-group for
-    p = ``modulus`` (a trivial G' needs no modulus); the module docstring
-    proves the formula under exactly these conditions.
+    Raises ValueError unless G is normally generated by one element, so
+    that some knot group maps onto it and G/G' is cyclic, and G' is a
+    p-group for p = ``modulus`` (a trivial G' needs no modulus); the
+    module docstring proves the formula under exactly these conditions.
     """
     _check_is_alexander(delta)
+    require_normal_generator(group)
     derived = group.commutator_subgroup()
     size = len(derived)
     k = group.order // size
-    if all(_order_modulo(group, derived, g) != k for g in group.elements()):
-        raise ValueError(f"{group.name}/{group.name}' is not cyclic")
     # size divides modulus**size exactly when size is a power of the prime
     if size > 1 and (modulus is None or pow(modulus, size, size)):
         raise ValueError(

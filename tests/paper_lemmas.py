@@ -101,6 +101,15 @@ def ring_word_mul(u, e: GroupRingElement) -> GroupRingElement:
     return out
 
 
+def ring_mul_letter(e: GroupRingElement, letter: int) -> GroupRingElement:
+    """Right multiplication of a group ring element by one letter."""
+    out: GroupRingElement = {}
+    for w, c in e.items():
+        key = free_reduce(w + (letter,))
+        out[key] = out.get(key, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
 # -- Tietze elimination ---------------------------------------------------
 
 

@@ -32,6 +32,7 @@ from paper_lemmas import (
     determinant_cofactor,
     direct_sum_rep,
     ring_add,
+    ring_mul_letter,
     substitute_scale,
     tau_a,
     tau_b,
@@ -270,14 +271,6 @@ class TestCriterion7Identities:
         assert elapsed < 60
 
 
-def _ring_mul_letter(elem, letter):
-    out = {}
-    for w, c in elem.items():
-        key = free_reduce(w + (letter,))
-        out[key] = out.get(key, 0) + c
-    return {w: c for w, c in out.items() if c}
-
-
 def _meridian_twisted_invariant(pres, f, rep, p, scale):
     """Wada's quotient over F_p for rho.f tensor (x -> scale * t) on every
     meridian, assembled from the dense oracle dense_rep_phi and dropping
@@ -307,7 +300,7 @@ class TestCriterion8Properties:
             total = {}
             for j in range(1, 5):
                 d = fox_derivative(w, j)
-                total = ring_add(total, _ring_mul_letter(d, j))
+                total = ring_add(total, ring_mul_letter(d, j))
                 total = ring_add(total, {k: -c for k, c in d.items()})
             if total != ring_add({w: 1}, {(): -1}):
                 ok = False

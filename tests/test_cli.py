@@ -110,16 +110,16 @@ class TestCompute:
         assert err == "error: m must be positive\n"
 
     def test_even_dihedral_hint(self, capsys):
-        code, _, err = run(capsys, "compute", "--knot", "3_1",
-                           "--group", "D4")
-        assert code == 3
-        assert "not normally generated" in err
+        # D4 is not normally generated by one element, so no knot group
+        # maps onto it: a "no surjection" record, as for C2xC2
+        code, out, err = run(capsys, "compute", "--knot", "3_1",
+                             "--group", "D4")
+        assert (code, out, err) == (2, "3_1 -> D4: no surjection\n", "")
 
     def test_even_dicyclic_hint(self, capsys):
-        code, _, err = run(capsys, "compute", "--knot", "3_1",
-                           "--group", "Dic4")
-        assert code == 3
-        assert "not normally generated" in err
+        code, out, err = run(capsys, "compute", "--knot", "3_1",
+                             "--group", "Dic4")
+        assert (code, out, err) == (2, "3_1 -> Dic4: no surjection\n", "")
 
     def test_budget_exceeded(self, capsys):
         code, _, _ = run(capsys, "compute", "--knot", "8_18",
@@ -248,7 +248,9 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--case",
                            "dihedral_times_cyclic", "--p", "3", "--m", "2",
                            "--knot", "3_1")
-        assert code == 3 and "m odd" in err
+        assert code == 3
+        assert err == ("error: D3xC2 is not normally generated by one "
+                       "element; no knot group surjects onto it\n")
 
     def test_no_knot_selected(self, capsys):
         code, out, err = run(capsys, "verify", "--case", "a4")
@@ -429,6 +431,48 @@ class TestGroupsList:
         code, out, _ = run(capsys, "groups", "list")
         assert code == 0
         assert "D9" in out and "order  18" in out
+
+
+class TestOneRule:
+    """A group no knot group maps onto, one that is not normally generated
+    by one element, gets the answer C2xC2 gets, whatever its spec."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("spec", ["D4", "Dic4", "Dic2", "C2xC2",
+                                      "D3xC2"])
+    @pytest.mark.parametrize("command", ["compute", "surjections"])
+    def test_answered_like_the_klein_four_group(self, capsys, command,
+                                                spec, fmt):
+        argv = ("--knot", "3_1", "--knot", "4_1", "--format", fmt)
+        code, out, err = run(capsys, command, "--group", spec, *argv)
+        klein = run(capsys, command, "--group", "C2xC2", *argv)
+        assert code == 2
+        assert (out, err) == tuple(x.replace("C2xC2", spec)
+                                   for x in klein[1:])
+
+
+class TestSpecTable:
+    def test_every_spec_parses_back(self, capsys):
+        _, report, _ = run_json(capsys, "groups", "list")
+        listed = {r["spec"]: r["order"] for r in report["results"]}
+        for spec, order in {**listed, "D5sC5": 50, "C2xC2": 4,
+                            "Dic3xC3": 36}.items():
+            g = parse_group_spec(spec)
+            assert (g.name, g.order) == (spec, order)
+
+    def test_constructors_are_looked_up_when_called(self, capsys,
+                                                    monkeypatch):
+        # the tracer rebinds module-level names; the table must see them
+        calls, real = [], cli.dihedral
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(cli, "dihedral", counting)
+        code, _, _ = run(capsys, "surjections", "--group", "D25",
+                         "--knot", "3_1")
+        assert code == 2 and calls == [25]
 
 
 class TestTableSources:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bundled_pd_codes, fuzz_json, fuzz_object, poly
-from paper_lemmas import ring_add, ring_word_mul
+from paper_lemmas import ring_add, ring_mul_letter, ring_word_mul
 from talex.algebra import (
     INTEGERS,
     LaurentPolynomial,
@@ -70,15 +70,6 @@ class TestFreeWords:
         assert abelian_exponent((1, 2, -1)) == 1
         assert abelian_exponent((1, 3, -2, -3)) == 0
         assert abelian_exponent(()) == 0
-
-
-def ring_mul_letter(elem, letter):
-    """Right multiplication of a group ring element by one letter."""
-    out = {}
-    for w, c in elem.items():
-        key = free_reduce(w + (letter,))
-        out[key] = out.get(key, 0) + c
-    return {w: c for w, c in out.items() if c}
 
 
 class TestFoxDerivative:

@@ -10,7 +10,8 @@ beyond the standard library: it declares no runtime dependency, a
 verify run imports no numpy, and the bundled knot table is found without
 importlib.resources.  JSON output has one route: nothing in the
 package calls ``json.dumps`` with ``indent``, since cli's writer produces
-those bytes."""
+those bytes.  The CLI runs every command's knots through one loop, so
+cli.py catches the search's budget error in one place."""
 
 import ast
 import os
@@ -175,6 +176,38 @@ def test_detects_an_indented_dumps_call():
                    "    print(json.dumps(envelope, sort_keys=True))\n"),
     }
     assert indented_dumps_calls(sources) == ["cli.py:6", "cli.py:7"]
+
+
+def budget_handlers(source: str) -> list[int]:
+    """Line of every ``except`` clause that catches BudgetExceededError,
+    alone or in a tuple, by its bare or its qualified name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            if any((c.id if isinstance(c, ast.Name) else
+                    getattr(c, "attr", None)) == "BudgetExceededError"
+                   for c in caught):
+                found.append(node.lineno)
+    return found
+
+
+def test_cli_catches_the_budget_error_once():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert len(budget_handlers(source)) == 1
+
+
+def test_detects_budget_handlers():
+    source = ("def compute(run):\n"
+              "    try:\n        run()\n"
+              "    except BudgetExceededError:\n        return 4\n\n\n"
+              "def verify(run):\n"
+              "    try:\n        run()\n"
+              "    except (KeyError, homsearch.BudgetExceededError):\n"
+              "        return 4\n"
+              "    except ValueError:\n        return 3\n")
+    assert budget_handlers(source) == [4, 11]
 
 
 def loaded_after_verify(module: str, *flags: str) -> str:

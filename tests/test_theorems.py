@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import poly
@@ -30,6 +32,7 @@ from talex.algebra import (
 from talex.groups import alternating4, cyclic, dihedral, direct_product
 from talex.theorems import (
     _CASES,
+    CASE_NAMES,
     TheoremCase,
     catalog_under_24,
     group_for_case,
@@ -227,7 +230,8 @@ class TestCases:
 
     def test_dihedral_times_even_cyclic_rejected(self):
         # D_3 x C_2 abelianizes to C2 x C2, so no knot group maps onto it
-        with pytest.raises(ValueError, match="m odd"):
+        with pytest.raises(ValueError, match="D3xC2 is not normally "
+                           "generated by one element"):
             make_case("dihedral_times_cyclic", p=3, m=2)
 
     @pytest.mark.parametrize("name,kwargs,parameters,modulus,group,order",
@@ -387,7 +391,8 @@ class TestRhs:
 
     def test_rejects_non_cyclic_abelianization(self):
         group = direct_product(dihedral(3), cyclic(2))
-        with pytest.raises(ValueError, match="not cyclic"):
+        with pytest.raises(ValueError, match="not normally generated by one "
+                           "element"):
             rhs(group, 3, poly([1, -1, 1]))
 
     def test_rejects_commutator_subgroup_not_a_p_group(self):
@@ -403,6 +408,45 @@ class TestRhs:
         delta = alexander_polynomial(trefoil)
         for name, group, modulus in catalog_under_24():
             assert rhs(group, modulus, delta).domain.p == modulus, name
+
+
+# parameter values for every _CASES row: odd primes for p, and small values
+# that cover even and odd m and both valid and invalid metacyclic k
+ONE_RULE_GRID = {"p": (3, 5), "n": (1, 2), "m": (1, 2, 3, 4), "k": (2, 3, 4)}
+
+
+class TestOneRule:
+    """Normal generation by one element is the only rule for which groups
+    a knot group maps onto, in make_case and rhs alike."""
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_make_case_accepts_exactly_the_knot_quotients(self, name):
+        row = _CASES[name]
+        for values in itertools.product(
+                *(ONE_RULE_GRID[key] for key in row.parameters)):
+            kwargs = dict(zip(row.parameters, values))
+            modulus = kwargs.get(row.modulus, row.modulus)
+            try:
+                group = group_for_case(TheoremCase(name, values, modulus))
+            except ValueError:  # the constructor rejects the parameters
+                with pytest.raises(ValueError):
+                    make_case(name, **kwargs)
+                continue
+            if group.is_normally_generated_by_one() is None:
+                with pytest.raises(ValueError,
+                                   match="not normally generated"):
+                    make_case(name, **kwargs)
+            else:
+                assert make_case(name, **kwargs).parameters == values
+
+    @pytest.mark.parametrize("group", [
+        direct_product(cyclic(2), cyclic(2)),
+        direct_product(dihedral(3), cyclic(2))], ids=lambda g: g.name)
+    def test_rhs_rejects_what_no_knot_group_maps_onto(self, group):
+        with pytest.raises(ValueError, match=(
+                f"^{group.name} is not normally generated by one element; "
+                "no knot group surjects onto it$")):
+            rhs(group, 3, poly([1, -1, 1]))
 
 
 class TestVerify:
